@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import oracle
@@ -44,27 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus its inputs and knobs."""
-
-    command: str
-    degree_sequence: Optional[DegreeSequence]
-    input_path: Optional[str]
-    output_format: str
-    budget: int
-    tolerance: float
-    seed: int
-    max_n: Optional[int] = None
-    trace: bool = False
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
@@ -93,20 +72,20 @@ def _edge_str(tree: Tree) -> str:
     return " ".join(f"{u}-{v}" for u, v in tree.edges)
 
 
-def _cmd_greedy(cfg: RunConfig) -> int:
-    tree = build_greedy_tree(cfg.degree_sequence).tree
+def _cmd_greedy(args: argparse.Namespace) -> int:
+    tree = build_greedy_tree(args.degrees).tree
     so = tree.sombor()
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit_json(
             {
                 "command": "greedy",
-                "degree_sequence": list(cfg.degree_sequence),
+                "degree_sequence": list(args.degrees),
                 "n": tree.n,
                 "edges": [list(e) for e in tree.edges],
                 "sombor": _round9(so),
             }
         )
-    elif cfg.output_format == "dot":
+    elif args.output_format == "dot":
         print(tree.to_dot("greedy"), end="")
         print(f"// SO = {_fmt(so)}")
     else:
@@ -115,18 +94,18 @@ def _cmd_greedy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_index(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.input_path)
+def _cmd_index(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.input)
     so = tree.sombor()
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit_json({"command": "index", "n": tree.n, "sombor": _round9(so)})
     else:
         print(f"SO = {_fmt(so)}")
     return EXIT_OK
 
 
-def _cmd_optimize(cfg: RunConfig) -> int:
-    tree = _load_tree(cfg.input_path)
+def _cmd_optimize(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.input)
     result = local_search(tree)
     trace = [
         {
@@ -137,7 +116,7 @@ def _cmd_optimize(cfg: RunConfig) -> int:
         }
         for s, v in zip(result.swaps, result.values)
     ]
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit_json(
             {
                 "command": "optimize",
@@ -146,12 +125,12 @@ def _cmd_optimize(cfg: RunConfig) -> int:
                 "steps": result.steps,
                 "n": result.tree.n,
                 "edges": [list(e) for e in result.tree.edges],
-                "trace": trace if cfg.trace else [],
+                "trace": trace if args.trace else [],
             }
         )
     else:
         print(f"start SO = {_fmt(result.start_value)}")
-        if cfg.trace:
+        if args.trace:
             for i, (s, v) in enumerate(zip(result.swaps, result.values), 1):
                 rm = " ".join(f"({u},{w})" for u, w in s.removed)
                 ad = " ".join(f"({u},{w})" for u, w in s.added)
@@ -165,11 +144,11 @@ def _cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
-    seq = cfg.degree_sequence
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    seq = args.degrees
     count = oracle.enumeration_count(seq)
-    trees = oracle.enumerate_trees(seq, budget=cfg.budget)
-    if cfg.output_format == "json":
+    trees = oracle.enumerate_trees(seq, budget=args.budget)
+    if args.output_format == "json":
         _emit_json(
             {
                 "command": "enumerate",
@@ -197,11 +176,11 @@ def _report_json(rep: oracle.VerificationReport) -> dict:
     }
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     rep = oracle.verify_minimality(
-        cfg.degree_sequence, budget=cfg.budget, tolerance=cfg.tolerance
+        args.degrees, budget=args.budget, tolerance=args.tol
     )
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit_json({"command": "verify", **_report_json(rep)})
     else:
         print(f"degree sequence: {rep.degree_sequence}")
@@ -215,9 +194,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = list(
-        oracle.sweep_verify(cfg.max_n, budget=cfg.budget, tolerance=cfg.tolerance)
+        oracle.sweep_verify(args.max_n, budget=args.budget, tolerance=args.tol)
     )
     n_pass = sum(1 for r in rows if r.report is not None and r.report.passed)
     n_fail = sum(1 for r in rows if r.report is not None and not r.report.passed)
@@ -228,11 +207,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             return "skipped"
         return "pass" if row.report.passed else "fail"
 
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit_json(
             {
                 "command": "sweep",
-                "max_n": cfg.max_n,
+                "max_n": args.max_n,
                 "rows": [
                     {
                         "degree_sequence": list(r.sequence),
@@ -251,7 +230,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                 "summary": {"pass": n_pass, "fail": n_fail, "skipped": n_skip},
             }
         )
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             [
@@ -291,16 +270,16 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    if cfg.degree_sequence is not None:
-        tree = build_greedy_tree(cfg.degree_sequence).tree
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    if args.degrees is not None:
+        tree = build_greedy_tree(args.degrees).tree
     else:
-        tree = _load_tree(cfg.input_path)
+        tree = _load_tree(args.input)
     steps = decompose(tree)
     base = base_value(tree.internal_degree_sequence())
     totals = replay_totals(base, steps)
     final = totals[-1] if totals else base
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         _emit_json(
             {
                 "command": "decompose",
@@ -400,28 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    degrees = getattr(args, "degrees", None)
-    seq = DegreeSequence.from_text(degrees) if degrees is not None else None
-    return RunConfig(
-        command=args.command,
-        degree_sequence=seq,
-        input_path=getattr(args, "input", None),
-        output_format=getattr(args, "output_format", "text"),
-        budget=getattr(args, "budget", oracle.DEFAULT_BUDGET),
-        tolerance=getattr(args, "tol", oracle.DEFAULT_TOLERANCE),
-        seed=args.seed,
-        max_n=getattr(args, "max_n", None),
-        trace=getattr(args, "trace", False),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        if getattr(args, "degrees", None) is not None:
+            args.degrees = DegreeSequence.from_text(args.degrees)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`sombor enumerate ... | head`).
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer stays silent, and exit as a success.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

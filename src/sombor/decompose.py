@@ -138,6 +138,15 @@ def _strip(
     return Tree(len(survivors), edges), dk, relabel[vk], d_p
 
 
+def _require_path_condition(tree: Tree) -> None:
+    witness = find_path_violation(tree)
+    if witness is not None:
+        raise ValueError(
+            f"path condition violated: path {witness.first}..{witness.last} "
+            f"has endpoint neighbors {witness.second}, {witness.second_last}"
+        )
+
+
 def strip_last(
     t: RootedTree | Tree, ordering: Optional[Sequence[int]] = None
 ) -> Tree:
@@ -150,12 +159,7 @@ def strip_last(
     satisfy the path condition, which guarantees a strippable vertex.
     """
     rooted = t if isinstance(t, RootedTree) else _rooted_at_max_degree(t)
-    witness = find_path_violation(rooted.tree)
-    if witness is not None:
-        raise ValueError(
-            f"path condition violated: path {witness.first}..{witness.last} "
-            f"has endpoint neighbors {witness.second}, {witness.second_last}"
-        )
+    _require_path_condition(rooted.tree)
     return _strip(rooted, ordering)[0]
 
 
@@ -167,12 +171,7 @@ def decompose(t: RootedTree | Tree) -> list[DecompositionStep]:
     K2 decompose in zero steps.
     """
     tree = t.tree if isinstance(t, RootedTree) else t
-    witness = find_path_violation(tree)
-    if witness is not None:
-        raise ValueError(
-            f"path condition violated: path {witness.first}..{witness.last} "
-            f"has endpoint neighbors {witness.second}, {witness.second_last}"
-        )
+    _require_path_condition(tree)
     steps: list[DecompositionStep] = []
     cur = tree
     t_index = len(cur.internal_degree_sequence())

@@ -6,10 +6,12 @@ times}, so enumerating those permutations enumerates the trees.  The
 oracle scans them all, tracks the Sombor minimum, and compares it with
 the greedy construction.
 
-Two routes exist on purpose: `enumerate_trees` yields validated Tree
-objects, while the scan inside `verify_minimality` decodes values only
-(no Tree allocation) for large counts.  Tests hold the two routes to
-identical minima on small sequences.
+`verify_minimality` scores every code in one value-only scan that
+pointer-decodes the code while summing edge weights, with no Tree
+allocation; only the optional isomorphism-class count decodes each
+code to a Tree.  `enumerate_trees` yields validated Tree objects for
+callers that want the trees themselves, and the tests keep it as the
+slow reference the scan is checked against.
 """
 
 from __future__ import annotations
@@ -163,18 +165,26 @@ def enumerate_trees(
     return _iter()
 
 
-def _scan_min(seq: DegreeSequence) -> tuple[float, list[int], int]:
+def _scan_min(
+    seq: DegreeSequence, count_classes: bool
+) -> tuple[float, list[int], int, Optional[int]]:
     """Minimum Sombor value over the enumeration, without building trees.
 
-    Returns (min value, first code attaining it, scanned count).  Each
-    code is pointer-decoded while summing precomputed edge weights.
+    Returns (min value, argmin code, scanned count, isomorphism classes
+    or None).  Each code is pointer-decoded while summing precomputed
+    edge weights; only count_classes decodes each code to a Tree for its
+    canonical form.  The argmin is the first code, in lexicographic
+    order, within _TIE_EPS of the minimum: a later code replaces it only
+    when lower by more than _TIE_EPS, so labelings of one tree that
+    differ by rounding never displace each other.
     """
     k = len(seq)
     n = seq.total_vertices()
     base = list(seq.entries) + [1] * seq.leaf_count()
     weight = [[math.hypot(a, b) for b in base] for a in base]
     code = _base_code(seq)
-    best = math.inf
+    classes: Optional[set[str]] = set() if count_classes else None
+    best = bar = math.inf
     best_code = list(code)
     count = 0
     last = n - 1
@@ -196,12 +206,15 @@ def _scan_min(seq: DegreeSequence) -> tuple[float, list[int], int]:
                     ptr += 1
                 leaf = ptr
         total += weight[leaf][last]
-        if total < best:
+        if total < bar:
             best = total
+            bar = total - _TIE_EPS
             best_code = code.copy()
+        if classes is not None:
+            classes.add(prufer_decode(code, n).canonical_form())
         if not _next_permutation(code):
             break
-    return best, best_code, count
+    return best, best_code, count, None if classes is None else len(classes)
 
 
 @dataclass(frozen=True)
@@ -225,51 +238,28 @@ def verify_minimality(
 ) -> VerificationReport:
     """Certify that the greedy tree attains the enumeration minimum.
 
-    Small enumerations (at most class_limit trees) run through Tree
-    objects, count isomorphism classes, and pick the argmin with the
-    lexicographically least canonical form among value ties; larger
-    ones use the value-only scan and report isomorphism_classes=None.
+    Every labeled tree is scored by the value-only scan.  The argmin is
+    the first tree in lexicographic Prüfer-code order whose value is
+    within _TIE_EPS of the minimum, and oracle_min is its value.
+    Isomorphism classes are counted when the enumeration has at most
+    class_limit trees; otherwise isomorphism_classes is None.
     """
     seq = _coerce(seq)
     count = enumeration_count(seq)
     if count > budget:
         raise BudgetExceededError(count, budget)
     greedy_value = build_greedy_tree(seq).tree.sombor()
-    if count <= class_limit:
-        classes: set[str] = set()
-        best_v = math.inf
-        best_c = ""
-        best_t: Optional[Tree] = None
-        seen = 0
-        for t in enumerate_trees(seq, budget):
-            seen += 1
-            v = t.sombor()
-            c = t.canonical_form()
-            classes.add(c)
-            if best_t is None or v < best_v - _TIE_EPS:
-                best_v, best_c, best_t = v, c, t
-            elif v < best_v + _TIE_EPS and c < best_c:
-                best_v, best_c, best_t = min(v, best_v), c, t
-        oracle_min, argmin = best_v, best_t
-        iso: Optional[int] = len(classes)
-    else:
-        oracle_min, best_code, seen = _scan_min(seq)
-        argmin = prufer_decode(best_code, seq.total_vertices())
-        iso = None
+    oracle_min, best_code, seen, iso = _scan_min(seq, count <= class_limit)
     if seen != count:
         raise RuntimeError(f"scanned {seen} trees, expected {count}")
-    passed = (
-        abs(greedy_value - oracle_min) <= tolerance
-        and greedy_value <= oracle_min + tolerance
-    )
     return VerificationReport(
         degree_sequence=seq,
         greedy_value=greedy_value,
         oracle_min=oracle_min,
-        argmin=argmin,
+        argmin=prufer_decode(best_code, seq.total_vertices()),
         labeled_count=seen,
         isomorphism_classes=iso,
-        passed=passed,
+        passed=abs(greedy_value - oracle_min) <= tolerance,
     )
 
 
@@ -310,7 +300,6 @@ def sweep_verify(
     max_n: int,
     budget: int = DEFAULT_BUDGET,
     tolerance: float = DEFAULT_TOLERANCE,
-    class_limit: int = 0,
 ) -> Iterator[SweepRow]:
     """Verify every sequence up to max_n vertices, skipping over-budget ones."""
     for seq in sweep_sequences(max_n):
@@ -318,7 +307,5 @@ def sweep_verify(
         if count > budget:
             yield SweepRow(seq, count, None)
             continue
-        report = verify_minimality(
-            seq, budget=budget, tolerance=tolerance, class_limit=class_limit
-        )
+        report = verify_minimality(seq, budget=budget, tolerance=tolerance, class_limit=0)
         yield SweepRow(seq, count, report)

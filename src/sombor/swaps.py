@@ -44,21 +44,10 @@ def swap_from_witness(tree: Tree, w: PathWitness) -> EdgeSwap:
     )
 
 
-def find_improving_swap(tree: Tree, best_improvement: bool = False) -> Optional[EdgeSwap]:
-    """First improving swap in (v1, vt) scan order, or None at a fixed point.
-
-    With best_improvement, scans all witnesses and returns the swap of
-    most negative predicted delta (scan order breaks ties).
-    """
-    if not best_improvement:
-        w = next(iter_path_violations(tree), None)
-        return None if w is None else swap_from_witness(tree, w)
-    best: Optional[EdgeSwap] = None
-    for w in iter_path_violations(tree):
-        s = swap_from_witness(tree, w)
-        if best is None or s.predicted_delta < best.predicted_delta:
-            best = s
-    return best
+def find_improving_swap(tree: Tree) -> Optional[EdgeSwap]:
+    """First improving swap in (v1, vt) scan order, or None at a fixed point."""
+    w = next(iter_path_violations(tree), None)
+    return None if w is None else swap_from_witness(tree, w)
 
 
 def apply_swap(tree: Tree, swap: EdgeSwap) -> Tree:
@@ -87,11 +76,7 @@ class LocalSearchResult:
         return len(self.swaps)
 
 
-def local_search(
-    tree: Tree,
-    step_limit: Optional[int] = None,
-    best_improvement: bool = False,
-) -> LocalSearchResult:
+def local_search(tree: Tree, step_limit: Optional[int] = None) -> LocalSearchResult:
     """Apply improving swaps until none exists.
 
     Terminates because each swap strictly decreases the index over a
@@ -102,7 +87,7 @@ def local_search(
     start = tree.sombor()
     result = LocalSearchResult(tree=tree, start_value=start, final_value=start)
     while True:
-        swap = find_improving_swap(result.tree, best_improvement)
+        swap = find_improving_swap(result.tree)
         if swap is None:
             return result
         if len(result.swaps) >= limit:

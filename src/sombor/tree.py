@@ -27,10 +27,19 @@ class Tree:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise InvalidTreeError(f"need at least one vertex, got n={n}")
+        edges = list(edges)
+        # Checked before any O(n) allocation, so a huge declared n with
+        # few edges fails at once.  Fewer than n-1 edges cannot connect.
+        if len(edges) < n - 1:
+            raise InvalidTreeError(
+                f"wrong edge count: expected {n - 1}, got {len(edges)}; "
+                "not connected"
+            )
         norm: list[Edge] = []
         seen: set[Edge] = set()
-        # Union-find: with n-1 edges a cycle and a disconnection always
-        # come together, so report whichever witness appears first.
+        # Union-find: more than n-1 edges always close a cycle, and n-1
+        # edges without one connect all n vertices, so the loop below
+        # finds every remaining defect.
         root = list(range(n))
 
         def find(x: int) -> int:
@@ -55,12 +64,6 @@ class Tree:
                 raise InvalidTreeError(f"cycle detected: edge {e} closes a cycle")
             root[ru] = rv
             norm.append(e)
-        if len({find(v) for v in range(n)}) > 1:
-            raise InvalidTreeError("not connected")
-        if len(norm) != n - 1:
-            raise InvalidTreeError(
-                f"wrong edge count: expected {n - 1}, got {len(norm)}"
-            )
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
         adj: list[list[int]] = [[] for _ in range(n)]

@@ -1,18 +1,21 @@
 """End-to-end tests for the command-line interface.
 
-Every test drives main(argv) in process and inspects stdout, stderr,
-and the exit code.  Usage errors surface as SystemExit(1) from the
-parser; everything else returns an int.
+Every test but the pipe test drives main(argv) in process and inspects
+stdout, stderr, and the exit code.  Usage errors surface as
+SystemExit(1) from the parser; everything else returns an int.
 """
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import sombor
 from sombor import DegreeSequence, Tree, oracle
-from sombor.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, RunConfig, main
+from sombor.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, main
 
 GREEDY_32_TEXT = "5\n0 1\n0 2\n0 3\n1 4\nSO = 12.166174573\n"
 
@@ -350,40 +353,23 @@ class TestUsage:
         usage_error(["greedy", "-d", "3,2", "--format", "yaml"])
 
 
-class TestRunConfig:
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="budget"):
-            RunConfig(
-                command="verify",
-                degree_sequence=DegreeSequence((3, 2)),
-                input_path=None,
-                output_format="text",
-                budget=0,
-                tolerance=1e-9,
-                seed=0,
-            )
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            RunConfig(
-                command="verify",
-                degree_sequence=DegreeSequence((3, 2)),
-                input_path=None,
-                output_format="text",
-                budget=10,
-                tolerance=0.0,
-                seed=0,
-            )
-
-    def test_valid_config_constructs(self):
-        cfg = RunConfig(
-            command="sweep",
-            degree_sequence=None,
-            input_path=None,
-            output_format="csv",
-            budget=100,
-            tolerance=1e-9,
-            seed=3,
-            max_n=5,
+class TestPipes:
+    def test_reader_closing_stdout_is_a_clean_exit(self):
+        # 226800 trees print far more than a pipe buffer holds, so the
+        # child is still writing when the reader goes away.
+        src = os.path.dirname(os.path.dirname(sombor.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sombor", "enumerate", "-d", "3,3,3,3,2,2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
         )
-        assert cfg.max_n == 5 and not cfg.trace
+        try:
+            assert proc.stdout.readline() == b"count = 226800\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == EXIT_OK
+        assert err == b""

@@ -12,6 +12,7 @@ from sombor.degrees import DegreeSequence
 from sombor.errors import BudgetExceededError
 from sombor.greedy import build_greedy_tree
 from sombor.oracle import (
+    _TIE_EPS,
     enumerate_trees,
     enumeration_count,
     prufer_decode,
@@ -149,19 +150,25 @@ class TestVerifyMinimality:
         with pytest.raises(BudgetExceededError):
             verify_minimality((2,) * 9, budget=100)
 
-    def test_scan_route_matches_class_route(self):
-        # class_limit=0 forces the value-only scan; the Tree route must
-        # agree on every small sequence.
-        for seq in sweep_sequences(8):
-            via_trees = verify_minimality(seq, class_limit=10**6)
-            via_scan = verify_minimality(seq, class_limit=0)
-            assert via_scan.isomorphism_classes is None
-            assert via_trees.isomorphism_classes >= 1
-            assert via_scan.labeled_count == via_trees.labeled_count
-            assert via_scan.oracle_min == pytest.approx(
-                via_trees.oracle_min, abs=1e-12
-            )
-            assert via_scan.passed and via_trees.passed
+    def test_scan_matches_tree_reference(self):
+        # Slow reference: build, score and canonicalize every Tree.
+        extra = [DegreeSequence((3, 3, 2, 2)), DegreeSequence((3, 2, 2, 2, 2, 2, 2))]
+        for seq in sweep_sequences(8) + extra:
+            trees = list(enumerate_trees(seq))
+            values = [t.sombor() for t in trees]
+            low = min(values)
+            first_min = next(t for t, v in zip(trees, values) if v <= low + _TIE_EPS)
+            classes = len({t.canonical_form() for t in trees})
+
+            rep = verify_minimality(seq, class_limit=len(trees))
+            assert rep.labeled_count == len(trees)
+            assert rep.isomorphism_classes == classes
+            assert rep.oracle_min == pytest.approx(low, abs=1e-12)
+            assert rep.argmin == first_min
+            assert rep.passed
+            over = verify_minimality(seq, class_limit=len(trees) - 1)
+            assert over.isomorphism_classes is None
+            assert over.argmin == first_min
 
     def test_argmin_attains_minimum(self):
         for seq in [(3, 2), (3, 3, 2), (4, 2)]:

@@ -49,13 +49,6 @@ class TestFindImprovingSwap:
     def test_p5_no_swap(self):
         assert find_improving_swap(path(5)) is None
 
-    def test_best_improvement_is_most_negative(self):
-        t = chain_3_2_3()
-        first = find_improving_swap(t)
-        best = find_improving_swap(t, best_improvement=True)
-        assert best is not None
-        assert best.predicted_delta <= first.predicted_delta
-
     @given(t=random_trees())
     def test_returned_swap_always_negative(self, t):
         s = find_improving_swap(t)
@@ -149,11 +142,6 @@ class TestLocalSearch:
     def test_step_limit_guard(self):
         with pytest.raises(StepLimitError):
             local_search(chain_3_2_3(), step_limit=0)
-
-    def test_best_improvement_reaches_fixed_point(self):
-        r = local_search(chain_3_2_3(), best_improvement=True)
-        assert check_path_condition(r.tree)
-        assert r.final_value == pytest.approx(GREEDY_332, abs=1e-9)
 
     @given(t=random_trees())
     def test_descent_never_increases_and_preserves_degrees(self, t):

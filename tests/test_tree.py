@@ -44,6 +44,10 @@ class TestValidation:
         with pytest.raises(InvalidTreeError, match="not connected"):
             Tree(4, [(0, 1), (2, 3)])
 
+    def test_huge_n_with_few_edges_fails_before_allocating(self):
+        with pytest.raises(InvalidTreeError, match="wrong edge count"):
+            Tree(10**6, [(0, 1)])
+
     def test_duplicate_edge(self):
         with pytest.raises(InvalidTreeError, match="duplicate edge"):
             Tree(3, [(0, 1), (1, 0), (1, 2)])
