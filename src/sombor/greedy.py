@@ -6,6 +6,17 @@ expanding the labeled vertex of largest degree first.  Among trees
 realizing the sequence it minimizes the Sombor index; the predicates
 below (path condition, subtree property, level monotonicity) are the
 structural fingerprints of that minimality.
+
+The path-condition scan first decides, for every vertex v1 at once,
+whether some violating path starts there: v1 does iff a neighbour v2
+has, beyond it, an edge (u, x) with u nearer to v2, u != v2,
+d(u) < d(v2) and d(x) > d(v1).  The (d(u), d(x)) pairs met beyond each
+directed edge form a D x D bitset over the D distinct internal
+degrees, held in one Python int; a bottom-up and a top-down pass over
+a BFS order (rerooting) fill them all, so the flags cost
+O(n * D^2 / 64) word operations.  The violations themselves then come
+from one BFS per flagged vertex, in ascending order, so finding the
+first costs the flag pass and a single BFS.
 """
 
 from __future__ import annotations
@@ -123,16 +134,117 @@ class PathWitness(NamedTuple):
     last: int
 
 
+def _union(a: int, b: int) -> int:
+    """a | b, returning an operand itself when it already holds every bit.
+
+    Equal tables, such as those along a chain, then share one int.
+    """
+    c = a | b
+    if c == a:
+        return a
+    return b if c == b else c
+
+
+def _violation_starts(tree: Tree, deg: tuple[int, ...]) -> list[int]:
+    """Every vertex that starts some path violation, ascending.
+
+    Uses the criterion in the module docstring.  Both u and x are
+    internal (d(x) = 1 never exceeds d(v1)), so the tables live on the
+    tree of internal vertices: for each directed edge (p -> c) of it,
+    the (d(u), d(x)) pairs over the edges (u, x) on c's side, u nearer
+    to c, as a D x D bitset over the ranks of the internal degrees.
+    The bottom-up pass gives the tables pointing away from the root;
+    the top-down pass reroots them, leaving out each neighbour's own
+    term by prefix and suffix ORs, and frees each table once consumed.
+    Pairs from v2's own edges have d(u) = d(v2), so the query mask,
+    rows below rank d(v2) and columns above d(v1), ignores them; a leaf
+    v1 adds no term, so its table is the union of all of v2's.
+    """
+    n = tree.n
+    levels = sorted({d for d in deg if d >= 2})
+    D = len(levels)
+    if D < 2:
+        # d(u) < d(v2) needs two distinct internal degrees.
+        return []
+    rank_of = {d: i for i, d in enumerate(levels)}
+    rank = [rank_of.get(d, -1) for d in deg]
+    # (v1 -> v2) starts a violation iff its table meets
+    # rows[rank v2] & cols[rank v1 + 1]; a leaf's rank is -1.
+    rows = [(1 << r * D) - 1 for r in range(D)]
+    every_row = sum(1 << r * D for r in range(D))
+    cols = [((1 << D) - (1 << k)) * every_row for k in range(D + 1)]
+
+    root = rank.index(0)
+    parent = [-1] * n
+    kids: dict[int, list[int]] = {}
+    order = [root]
+    for v in order:
+        p = parent[v]
+        ks = kids[v] = [w for w in tree.neighbors(v) if w != p and rank[w] >= 0]
+        for w in ks:
+            parent[w] = v
+        order += ks
+    flagged = [False] * n
+
+    # Bottom-up: down[c] is the table of (parent[c] -> c).
+    down = [0] * n
+    for c in order[:0:-1]:
+        acc = own = 0
+        for w in kids[c]:
+            own |= 1 << rank[w]
+            acc = _union(acc, down[w])
+        rc = rank[c]
+        p = parent[c]
+        if acc & rows[rc] & cols[rank[p] + 1]:
+            flagged[p] = True
+        down[c] = _union(acc, own << rc * D)
+
+    # Top-down: up[c] is the table of (c -> parent[c]).
+    up = [0] * n
+    for v in order:
+        rv = rank[v]
+        row = rows[rv]
+        base = rv * D
+        ks = kids[v]
+        p = parent[v]
+        terms = []
+        for w in ks:
+            terms.append(_union(down[w], 1 << base + rank[w]))
+            down[w] = 0
+        if p >= 0:
+            terms.append(_union(up[v], 1 << base + rank[p]))
+            up[v] = 0
+        m = len(terms)
+        suffix = [0] * (m + 1)
+        for j in range(m - 1, -1, -1):
+            suffix[j] = _union(terms[j], suffix[j + 1])
+        if m < deg[v] and suffix[0] & row & cols[0]:
+            for w in tree.neighbors(v):
+                if rank[w] < 0:
+                    flagged[w] = True
+        prefix = 0
+        for j, w in enumerate(ks):
+            table = up[w] = _union(prefix, suffix[j + 1])
+            if table & row & cols[rank[w] + 1]:
+                flagged[w] = True
+            prefix = _union(prefix, terms[j])
+    return [v for v in range(n) if flagged[v]]
+
+
 def iter_path_violations(tree: Tree) -> Iterator[PathWitness]:
     """Yield all path-condition violations, lexicographic by (first, last).
 
-    One BFS per candidate first endpoint gives, for every other vertex,
-    its path predecessor and the second vertex on the path, so each
-    ordered pair is inspected in O(1).
+    One pass over per-edge bitsets of (d(u), d(x)) pairs flags every
+    vertex that starts a violation (see the module docstring), in
+    O(n * D^2 / 64) word operations for D distinct internal degrees.
+    Only flagged first endpoints get a BFS, which gives every other
+    vertex its path predecessor and the second vertex on the path, so
+    each ordered pair is inspected in O(1).  Finding the first
+    violation, or none, costs the flag pass plus at most one BFS.
     """
     deg = tree.degrees()
     n = tree.n
-    for v1 in range(n):
+    for v1 in _violation_starts(tree, deg):
         parent = [-1] * n
         dist = [-1] * n
         second = [-1] * n
