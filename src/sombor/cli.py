@@ -336,41 +336,39 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sombor", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="reserved; kept for reproducible invocations")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("greedy", parents=[common], help="build the greedy tree for a degree sequence")
+    p = sub.add_parser("greedy", help="build the greedy tree for a degree sequence")
     p.add_argument("-d", "--degrees", required=True, help="internal degree sequence, e.g. 3,3,2")
     p.add_argument("--format", dest="output_format", choices=["text", "json", "dot"], default="text")
 
-    p = sub.add_parser("index", parents=[common], help="Sombor index of a tree file")
+    p = sub.add_parser("index", help="Sombor index of a tree file")
     p.add_argument("--input", required=True, help="edge-list or JSON tree file, - for stdin")
     p.add_argument("--format", dest="output_format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("optimize", parents=[common], help="descend by improving swaps to a fixed point")
+    p = sub.add_parser("optimize", help="descend by improving swaps to a fixed point")
     p.add_argument("--input", required=True, help="edge-list or JSON tree file, - for stdin")
     p.add_argument("--format", dest="output_format", choices=["text", "json"], default="text")
     p.add_argument("--trace", action="store_true", help="print one line per applied swap")
 
-    p = sub.add_parser("enumerate", parents=[common], help="list all labeled trees for a degree sequence")
+    p = sub.add_parser("enumerate", help="list all labeled trees for a degree sequence")
     p.add_argument("-d", "--degrees", required=True)
     p.add_argument("--format", dest="output_format", choices=["text", "json"], default="text")
     p.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET)
 
-    p = sub.add_parser("verify", parents=[common], help="certify greedy minimality against the oracle")
+    p = sub.add_parser("verify", help="certify greedy minimality against the oracle")
     p.add_argument("-d", "--degrees", required=True)
     p.add_argument("--format", dest="output_format", choices=["text", "json"], default="text")
     p.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET)
     p.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOLERANCE)
 
-    p = sub.add_parser("sweep", parents=[common], help="verify every degree sequence up to a vertex bound")
+    p = sub.add_parser("sweep", help="verify every degree sequence up to a vertex bound")
     p.add_argument("--max-n", type=_positive_int, required=True, help="largest total vertex count")
     p.add_argument("--format", dest="output_format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET)
     p.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOLERANCE)
 
-    p = sub.add_parser("decompose", parents=[common], help="strip/attach decomposition with running totals")
+    p = sub.add_parser("decompose", help="strip/attach decomposition with running totals")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("-d", "--degrees", help="decompose the greedy tree of this sequence")
     g.add_argument("--input", help="edge-list or JSON tree file, - for stdin")

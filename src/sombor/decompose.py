@@ -6,12 +6,20 @@ minimum-degree internal vertex whose children are all pendant, demoting
 it to a pendant vertex.  Replayed forward with `attach`, each step adds
 a known amount to the Sombor index, so the whole value rebuilds from
 the star's d_1 * sqrt(d_1^2 + 1) by pure arithmetic.
+
+The whole strip sequence comes from one BFS, in O(n log n).  The root,
+the first vertex of maximum degree, never changes: no degree grows, so
+it stays the first maximum, and it is stripped only as the last
+internal vertex.  Removing leaves keeps every other parent, child and
+BFS position, and compacting labels keeps their order, so a stripped
+vertex's new label is its old one less the removed labels below it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .degrees import DegreeSequence
 from .greedy import RootedTree, find_path_violation
@@ -72,72 +80,6 @@ def attach(tprev: Tree, v: int, d_t: int) -> Tree:
     return Tree(n + d_t - 1, edges)
 
 
-def _rooted_at_max_degree(tree: Tree) -> RootedTree:
-    deg = tree.degrees()
-    root = deg.index(max(deg))
-    return RootedTree.from_tree(tree, root)
-
-
-def _choose_strip_vertex(rooted: RootedTree, ordering: Optional[Sequence[int]]) -> int:
-    tree = rooted.tree
-    internal = [v for v in range(tree.n) if tree.degree(v) >= 2]
-    if not internal:
-        raise ValueError("no strippable vertex: tree has no internal vertex")
-    d_min = min(tree.degree(v) for v in internal)
-    candidates = [
-        v
-        for v in internal
-        if tree.degree(v) == d_min
-        and all(tree.is_pendant(c) for c in rooted.children[v])
-    ]
-    if not candidates:
-        raise ValueError(
-            "no strippable vertex: no minimum-degree internal vertex "
-            "has all children pendant"
-        )
-    if ordering is not None:
-        if sorted(ordering) != sorted(internal):
-            raise ValueError("ordering must list exactly the internal vertices")
-        degs = [tree.degree(v) for v in ordering]
-        if any(a < b for a, b in zip(degs, degs[1:])):
-            raise ValueError("ordering must be non-increasing in degree")
-        if ordering[-1] in candidates:
-            return ordering[-1]
-        # Lemma's relabeling clause: fall through to an equal-degree choice.
-    pos = {v: i for i, v in enumerate(rooted.bfs_order)}
-    return max(candidates, key=lambda v: pos[v])
-
-
-def _strip(
-    rooted: RootedTree, ordering: Optional[Sequence[int]]
-) -> tuple[Tree, int, int, Optional[int]]:
-    """Remove the pendant children of the chosen vertex and compact labels.
-
-    Returns (stripped tree, stripped degree d_t, new label of the demoted
-    vertex, parent degree or None when the vertex was the root).
-    """
-    tree = rooted.tree
-    vk = _choose_strip_vertex(rooted, ordering)
-    dk = tree.degree(vk)
-    kids = rooted.children[vk]
-    parent = rooted.parent_of(vk)
-    if parent is None:
-        # Root with all children pendant: the k=1 star, strip to K2.
-        removed = set(kids[1:])
-        d_p = None
-    else:
-        removed = set(kids)
-        d_p = tree.degree(parent)
-    survivors = [v for v in range(tree.n) if v not in removed]
-    relabel = {old: new for new, old in enumerate(survivors)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in tree.edges
-        if u not in removed and v not in removed
-    ]
-    return Tree(len(survivors), edges), dk, relabel[vk], d_p
-
-
 def _require_path_condition(tree: Tree) -> None:
     witness = find_path_violation(tree)
     if witness is not None:
@@ -147,50 +89,99 @@ def _require_path_condition(tree: Tree) -> None:
         )
 
 
-def strip_last(
-    t: RootedTree | Tree, ordering: Optional[Sequence[int]] = None
-) -> Tree:
+def _strip_schedule(
+    tree: Tree,
+) -> Iterator[tuple[int, Optional[int], tuple[int, ...], int]]:
+    """Every strip step of `tree` in order, ending with the star -> K2 step.
+
+    Yields (degree of the stripped vertex, its parent's degree or None
+    for the root, the original labels removed, the vertex's label once
+    all removals so far are compacted).  A vertex is ready once all its
+    children are pendant; each step takes the ready vertex of least
+    degree, deepest in BFS order on ties, which must also have the least
+    degree of all internal vertices left.
+    """
+    deg = tree.degrees()
+    rooted = RootedTree.from_tree(tree, deg.index(max(deg)))
+    pos = {v: i for i, v in enumerate(rooted.bfs_order)}
+    internal = [v for v in range(tree.n) if deg[v] >= 2]
+    waiting = {v: sum(deg[c] >= 2 for c in rooted.children[v]) for v in internal}
+    ready = [(deg[v], -pos[v], v) for v in internal if waiting[v] == 0]
+    heapq.heapify(ready)
+    removed_below = [0] * (tree.n + 1)  # Fenwick tree over labels 0..n-1
+    for d_min in sorted(deg[v] for v in internal):
+        d, _, v = heapq.heappop(ready)
+        if d != d_min:
+            raise ValueError(
+                "no strippable vertex: no minimum-degree internal vertex "
+                "has all children pendant"
+            )
+        p = rooted.parent_of(v)
+        # The root keeps one child, so the star strips to K2.
+        removed = rooted.children[v][1:] if p is None else rooted.children[v]
+        for c in removed:
+            i = c + 1
+            while i <= tree.n:
+                removed_below[i] += 1
+                i += i & -i
+        label, i = v, v
+        while i:
+            label -= removed_below[i]
+            i -= i & -i
+        yield d, None if p is None else deg[p], removed, label
+        if p is not None:
+            waiting[p] -= 1
+            if waiting[p] == 0:
+                heapq.heappush(ready, (deg[p], -pos[p], p))
+
+
+def strip_last(tree: Tree) -> Tree:
     """One decomposition step: T_k -> T_{k-1}, labels compacted.
 
     The stripped vertex is the minimum-degree internal vertex with all
-    children pendant, deepest in BFS order on ties; an explicit
-    `ordering` (internal vertices by non-increasing degree) pins the
-    choice to its last entry when that entry qualifies.  The input must
-    satisfy the path condition, which guarantees a strippable vertex.
+    children pendant, deepest in BFS order from the first maximum-degree
+    vertex on ties; a star keeps one leaf and becomes K2.  The input
+    must satisfy the path condition, which guarantees a strippable
+    vertex.
     """
-    rooted = t if isinstance(t, RootedTree) else _rooted_at_max_degree(t)
-    _require_path_condition(rooted.tree)
-    return _strip(rooted, ordering)[0]
+    _require_path_condition(tree)
+    for _, _, removed, _ in _strip_schedule(tree):
+        gone = set(removed)
+        survivors = [v for v in range(tree.n) if v not in gone]
+        relabel = {old: new for new, old in enumerate(survivors)}
+        edges = [
+            (relabel[u], relabel[v])
+            for u, v in tree.edges
+            if u not in gone and v not in gone
+        ]
+        return Tree(len(survivors), edges)
+    raise ValueError("no strippable vertex: tree has no internal vertex")
 
 
-def decompose(t: RootedTree | Tree) -> list[DecompositionStep]:
+def decompose(tree: Tree) -> list[DecompositionStep]:
     """Full strip sequence T_k -> ... -> T_1, reported in attach order.
 
     Steps come back ascending in t (2..k); replaying them with
     incremental_sombor from base_value reproduces sombor(T).  Stars and
-    K2 decompose in zero steps.
+    K2 decompose in zero steps; a single vertex has no decomposition.
     """
-    tree = t.tree if isinstance(t, RootedTree) else t
+    if tree.n < 2:
+        raise ValueError(f"cannot decompose a tree with n={tree.n}: need n >= 2")
     _require_path_condition(tree)
-    steps: list[DecompositionStep] = []
-    cur = tree
-    t_index = len(cur.internal_degree_sequence())
-    while len(cur.internal_degree_sequence()) >= 2:
-        rooted = _rooted_at_max_degree(cur)
-        stripped, dk, new_label, d_p = _strip(rooted, None)
-        assert d_p is not None  # the root keeps an internal child while k >= 2
-        steps.append(
-            DecompositionStep(
-                index_t=t_index,
-                attached_at=new_label,
-                parent_degree=d_p,
-                added_leaves=dk - 1,
-                delta=incremental_sombor(0.0, dk, d_p),
-            )
+    # The schedule's last step, the star -> K2, is not part of the rebuild.
+    schedule = list(_strip_schedule(tree))[:-1]
+    steps = [
+        DecompositionStep(
+            index_t=len(schedule) + 1 - i,
+            attached_at=label,
+            parent_degree=d_p,
+            added_leaves=d_t - 1,
+            delta=incremental_sombor(0.0, d_t, d_p),
         )
-        cur = stripped
-        t_index -= 1
-    return list(reversed(steps))
+        for i, (d_t, d_p, _, label) in enumerate(schedule)
+    ]
+    steps.reverse()
+    return steps
 
 
 def replay_totals(base: float, steps: Iterable[DecompositionStep]) -> list[float]:

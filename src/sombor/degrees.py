@@ -17,6 +17,13 @@ from .errors import InvalidDegreeSequenceError
 _TOKEN_SPLIT = re.compile(r"[\s,]+")
 
 
+def _check_degree(d, least: int, name: str) -> None:
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise InvalidDegreeSequenceError(f"degree {d!r} is not an int")
+    if d < least:
+        raise InvalidDegreeSequenceError(f"{name} must be >= {least}, got {d}")
+
+
 @dataclass(frozen=True, order=True)
 class DegreeSequence:
     """Validated internal degree sequence, stored non-increasing."""
@@ -25,12 +32,7 @@ class DegreeSequence:
 
     def __post_init__(self):
         for d in self.entries:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise InvalidDegreeSequenceError(f"degree {d!r} is not an int")
-            if d < 2:
-                raise InvalidDegreeSequenceError(
-                    f"internal degree must be >= 2, got {d}"
-                )
+            _check_degree(d, 2, "internal degree")
         if any(a < b for a, b in zip(self.entries, self.entries[1:])):
             raise InvalidDegreeSequenceError(
                 f"entries must be non-increasing, got {self.entries}"
@@ -41,10 +43,7 @@ class DegreeSequence:
         """Sort degrees non-increasing and drop pendant entries (1s)."""
         kept = []
         for d in raw:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise InvalidDegreeSequenceError(f"degree {d!r} is not an int")
-            if d < 1:
-                raise InvalidDegreeSequenceError(f"degree must be >= 1, got {d}")
+            _check_degree(d, 1, "degree")
             if d >= 2:
                 kept.append(d)
         return cls(tuple(sorted(kept, reverse=True)))

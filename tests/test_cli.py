@@ -63,11 +63,8 @@ class TestGreedy:
         main(["greedy", "-d", "4,3,3,2", "--format", "json"])
         assert capsys.readouterr().out == first
 
-    def test_seed_flag_accepted_and_inert(self, capsys):
-        main(["greedy", "-d", "3,2"])
-        plain = capsys.readouterr().out
-        assert main(["greedy", "-d", "3,2", "--seed", "7"]) == EXIT_OK
-        assert capsys.readouterr().out == plain
+    def test_seed_flag_is_usage_error(self):
+        usage_error(["greedy", "-d", "3,2", "--seed", "7"])
 
     def test_zero_degree_rejected(self, capsys):
         assert main(["greedy", "-d", "1,0"]) == EXIT_VALIDATION
@@ -328,6 +325,29 @@ class TestDecompose:
         path.write_text("5\n0 1\n0 2\n0 3\n1 4\n")
         assert main(["decompose", "--input", str(path)]) == EXIT_OK
         assert "final SO = 12.166174573" in capsys.readouterr().out
+
+    def test_tied_candidates_and_compacted_labels(self, capsys, tmp_path):
+        # Not the greedy labeling: rooted at 2, vertices 3 and 4 tie at
+        # degree 2 and the deeper one, 3, goes first; 3, 4 and 6 are each
+        # attached at label 2 once the stripped leaves are compacted away.
+        path = tmp_path / "tie.txt"
+        path.write_text("8\n0 3\n1 4\n2 4\n2 6\n2 7\n3 6\n5 6\n")
+        assert main(["decompose", "--input", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "base SO = 9.486832981\n"
+            "t=2 d_t=3 d_p=3 attach_at=2 delta=7.404918347 total=16.891751328\n"
+            "t=3 d_t=2 d_p=3 attach_at=2 delta=2.679341593 total=19.571092921\n"
+            "t=4 d_t=2 d_p=3 attach_at=2 delta=2.679341593 total=22.250434513\n"
+            "final SO = 22.250434513\n"
+        )
+
+    def test_single_vertex_rejected(self, capsys, tmp_path):
+        path = tmp_path / "k1.txt"
+        path.write_text("1\n")
+        assert main(["decompose", "--input", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot decompose a tree with n=1: need n >= 2\n"
 
     def test_non_greedy_input_rejected(self, capsys, chain_file):
         assert main(["decompose", "--input", chain_file]) == EXIT_VALIDATION

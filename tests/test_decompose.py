@@ -1,14 +1,19 @@
-"""Unit tests for the strip/attach decomposition and incremental formula."""
+"""Unit tests for the strip/attach decomposition and incremental formula.
+
+The one-pass strip schedule is checked against a slow reference that
+re-roots, chooses and rebuilds a validated Tree at every step.
+"""
 
 import math
-import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sombor.decompose import (
     DecompositionStep,
+    _require_path_condition,
+    _strip_schedule,
     attach,
     base_value,
     decompose,
@@ -17,7 +22,9 @@ from sombor.decompose import (
     strip_last,
 )
 from sombor.degrees import DegreeSequence
-from sombor.greedy import build_greedy_tree, check_path_condition
+from sombor.greedy import RootedTree, build_greedy_tree, check_path_condition
+from sombor.oracle import prufer_decode
+from sombor.swaps import local_search
 from sombor.tree import Tree
 
 
@@ -121,35 +128,11 @@ class TestStripLast:
         stripped = strip_last(t)
         assert stripped.internal_degree_sequence() == DegreeSequence((5, 4, 3))
 
-    def test_ordering_pins_the_choice(self):
-        # Both degree-2 vertices qualify; the ordering's last entry wins.
-        t = build_greedy_tree((3, 2, 2)).tree
-        a = strip_last(t, ordering=[0, 1, 2])
-        b = strip_last(t, ordering=[0, 2, 1])
-        assert a == Tree(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
-        assert b == Tree(5, [(0, 1), (0, 2), (0, 3), (2, 4)])
-
-    def test_ordering_must_cover_internals(self):
-        t = build_greedy_tree((3, 2)).tree
-        with pytest.raises(ValueError, match="internal vertices"):
-            strip_last(t, ordering=[0])
-
-    def test_ordering_must_be_non_increasing(self):
-        t = build_greedy_tree((3, 2)).tree
-        with pytest.raises(ValueError, match="non-increasing"):
-            strip_last(t, ordering=[1, 0])
-
     @given(seq=small_sequences)
     def test_strip_after_attach_is_identity(self, seq):
         t = build_greedy_tree(seq).tree
         leaf = next(v for v in range(t.n) if t.is_pendant(v))
-        grown = attach(t, leaf, 2)
-        internal = [v for v in range(grown.n) if grown.degree(v) >= 2]
-        ordering = sorted(
-            (v for v in internal if v != leaf),
-            key=lambda v: (-grown.degree(v), v),
-        ) + [leaf]
-        assert strip_last(grown, ordering=ordering) == t
+        assert strip_last(attach(t, leaf, 2)) == t
 
 
 class TestDecompose:
@@ -168,6 +151,10 @@ class TestDecompose:
     def test_rejects_path_condition_violation(self):
         with pytest.raises(ValueError, match="path condition"):
             decompose(chain_3_2_3())
+
+    def test_rejects_a_single_vertex(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            decompose(Tree(1, []))
 
     def test_replay_rebuilds_the_tree(self):
         t = build_greedy_tree((4, 3, 2)).tree
@@ -223,3 +210,135 @@ def test_attached_degree_property():
         index_t=2, attached_at=1, parent_degree=4, added_leaves=2, delta=0.5
     )
     assert step.attached_degree == 3
+
+
+# -- slow reference: re-root, choose and rebuild a Tree at every step --
+
+
+def _rooted_at_max_degree(tree: Tree) -> RootedTree:
+    deg = tree.degrees()
+    root = deg.index(max(deg))
+    return RootedTree.from_tree(tree, root)
+
+
+def _choose_strip_vertex(rooted: RootedTree) -> int:
+    tree = rooted.tree
+    internal = [v for v in range(tree.n) if tree.degree(v) >= 2]
+    if not internal:
+        raise ValueError("no strippable vertex: tree has no internal vertex")
+    d_min = min(tree.degree(v) for v in internal)
+    candidates = [
+        v
+        for v in internal
+        if tree.degree(v) == d_min
+        and all(tree.is_pendant(c) for c in rooted.children[v])
+    ]
+    if not candidates:
+        raise ValueError(
+            "no strippable vertex: no minimum-degree internal vertex "
+            "has all children pendant"
+        )
+    pos = {v: i for i, v in enumerate(rooted.bfs_order)}
+    return max(candidates, key=lambda v: pos[v])
+
+
+def _strip(rooted: RootedTree):
+    tree = rooted.tree
+    vk = _choose_strip_vertex(rooted)
+    dk = tree.degree(vk)
+    kids = rooted.children[vk]
+    parent = rooted.parent_of(vk)
+    if parent is None:
+        removed = set(kids[1:])
+        d_p = None
+    else:
+        removed = set(kids)
+        d_p = tree.degree(parent)
+    survivors = [v for v in range(tree.n) if v not in removed]
+    relabel = {old: new for new, old in enumerate(survivors)}
+    edges = [
+        (relabel[u], relabel[v])
+        for u, v in tree.edges
+        if u not in removed and v not in removed
+    ]
+    return Tree(len(survivors), edges), dk, relabel[vk], d_p
+
+
+def reference_strip_last(tree: Tree) -> Tree:
+    _require_path_condition(tree)
+    return _strip(_rooted_at_max_degree(tree))[0]
+
+
+def reference_decompose(tree: Tree) -> list[DecompositionStep]:
+    _require_path_condition(tree)
+    steps = []
+    cur = tree
+    t_index = len(cur.internal_degree_sequence())
+    while len(cur.internal_degree_sequence()) >= 2:
+        cur, dk, new_label, d_p = _strip(_rooted_at_max_degree(cur))
+        steps.append(
+            DecompositionStep(
+                index_t=t_index,
+                attached_at=new_label,
+                parent_degree=d_p,
+                added_leaves=dk - 1,
+                delta=incremental_sombor(0.0, dk, d_p),
+            )
+        )
+        t_index -= 1
+    return list(reversed(steps))
+
+
+def outcome(f, tree):
+    try:
+        return f(tree)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def prufer_trees(draw, min_n=2, max_n=40):
+    n = draw(st.integers(min_n, max_n))
+    code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return prufer_decode(code, n)
+
+
+@st.composite
+def relabeled_greedy_trees(draw):
+    tree = build_greedy_tree(draw(small_sequences)).tree
+    return tree.relabel(draw(st.permutations(range(tree.n))))
+
+
+class TestAgainstReference:
+    # Local-search fixed points and relabeled greedy trees satisfy the
+    # path condition with arbitrary labels, so equal-degree candidates
+    # tie and compacted labels differ from the original ones; raw
+    # Prüfer trees mostly violate it and exercise the error.
+    @settings(max_examples=300)
+    @given(
+        tree=st.one_of(
+            st.lists(st.integers(2, 7), max_size=12).map(
+                lambda seq: build_greedy_tree(seq).tree
+            ),
+            relabeled_greedy_trees(),
+            prufer_trees().map(lambda t: local_search(t).tree),
+            prufer_trees(),
+        )
+    )
+    def test_same_steps_and_errors(self, tree):
+        assert outcome(decompose, tree) == outcome(reference_decompose, tree)
+        assert outcome(strip_last, tree) == outcome(reference_strip_last, tree)
+
+    @given(tree=prufer_trees(min_n=3))
+    def test_first_step_without_the_path_condition(self, tree):
+        # Past the path-condition check no tree lacks a strippable
+        # vertex; without it, most random trees do.
+        def first(tree):
+            for d_t, _, _, label in _strip_schedule(tree):
+                return d_t, label
+
+        def reference_first(tree):
+            _, dk, label, _ = _strip(_rooted_at_max_degree(tree))
+            return dk, label
+
+        assert outcome(first, tree) == outcome(reference_first, tree)
