@@ -11,8 +11,7 @@ from sombor import DegreeSequence, build_greedy_tree, check_level_monotonicity, 
 
 for text in ("3,2", "3,3,2", "4,3,2", "4,4,4", "2,2,2,2"):
     seq = DegreeSequence.from_text(text)
-    rooted = build_greedy_tree(seq)
-    tree = rooted.tree
+    tree = build_greedy_tree(seq).tree
 
     print(f"degree sequence {seq}: {tree.n} vertices")
     print("  edges:", " ".join(f"{u}-{v}" for u, v in tree.edges))
@@ -21,5 +20,5 @@ for text in ("3,2", "3,3,2", "4,3,2", "4,4,4", "2,2,2,2"):
     # distance to the nearest pendant vertex, per vertex; in a greedy
     # tree the degrees only rise as that distance grows
     print("  leaf distance per vertex:", list(leaf_levels(tree)))
-    print("  degrees rise toward the center:", check_level_monotonicity(rooted))
+    print("  degrees rise toward the center:", check_level_monotonicity(tree))
     print()

@@ -62,8 +62,7 @@ def incremental_sombor(so_prev: float, d_t: int, d_p: int) -> float:
 
 def base_value(seq: DegreeSequence | Iterable[int]) -> float:
     """Sombor value of the decomposition base: K_{1,d_1}, or K2 when empty."""
-    if not isinstance(seq, DegreeSequence):
-        seq = DegreeSequence.normalize(seq)
+    seq = DegreeSequence.normalize(seq)
     if len(seq) == 0:
         return edge_weight(1, 1)
     return seq[0] * edge_weight(seq[0], 1)
@@ -116,9 +115,9 @@ def _strip_schedule(
                 "no strippable vertex: no minimum-degree internal vertex "
                 "has all children pendant"
             )
-        p = rooted.parent_of(v)
+        p = rooted.parent[v]
         # The root keeps one child, so the star strips to K2.
-        removed = rooted.children[v][1:] if p is None else rooted.children[v]
+        removed = rooted.children[v][1:] if p < 0 else rooted.children[v]
         for c in removed:
             i = c + 1
             while i <= tree.n:
@@ -128,8 +127,8 @@ def _strip_schedule(
         while i:
             label -= removed_below[i]
             i -= i & -i
-        yield d, None if p is None else deg[p], removed, label
-        if p is not None:
+        yield d, None if p < 0 else deg[p], removed, label
+        if p >= 0:
             waiting[p] -= 1
             if waiting[p] == 0:
                 heapq.heappush(ready, (deg[p], -pos[p], p))

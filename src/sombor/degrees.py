@@ -40,7 +40,12 @@ class DegreeSequence:
 
     @classmethod
     def normalize(cls, raw: Iterable[int]) -> "DegreeSequence":
-        """Sort degrees non-increasing and drop pendant entries (1s)."""
+        """Sort degrees non-increasing and drop pendant entries (1s).
+
+        A DegreeSequence is already normalized and comes back unchanged.
+        """
+        if isinstance(raw, cls):
+            return raw
         kept = []
         for d in raw:
             _check_degree(d, 1, "degree")

@@ -32,60 +32,50 @@ from .tree import Tree
 
 @dataclass(frozen=True, eq=False)
 class RootedTree:
-    """A tree plus a distinguished root and its BFS layering."""
+    """A tree plus a distinguished root and its BFS layering.
+
+    parent and children are indexed by vertex; parent[root] == -1.
+    Built only by from_tree.
+    """
 
     tree: Tree
     root: int
-    parent: dict[int, int]
+    parent: tuple[int, ...]
     bfs_order: tuple[int, ...]
-    children: dict[int, tuple[int, ...]]
+    children: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_tree(cls, tree: Tree, root: int = 0) -> "RootedTree":
         """Root an existing tree; children are visited in ascending label order."""
         if not 0 <= root < tree.n:
             raise ValueError(f"root {root} out of range for n={tree.n}")
-        parent: dict[int, int] = {}
-        children: dict[int, tuple[int, ...]] = {}
+        parent = [-1] * tree.n
+        children: list[tuple[int, ...]] = [()] * tree.n
         order = [root]
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            kids = []
-            for w in tree.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    kids.append(w)
-                    order.append(w)
-                    queue.append(w)
-            children[v] = tuple(kids)
-        return cls(tree, root, parent, tuple(order), children)
-
-    def parent_of(self, v: int) -> Optional[int]:
-        return self.parent.get(v)
-
-    @property
-    def n(self) -> int:
-        return self.tree.n
+        for v in order:
+            kids = tuple(w for w in tree.neighbors(v) if w != parent[v])
+            for w in kids:
+                parent[w] = v
+            children[v] = kids
+            order += kids
+        return cls(tree, root, tuple(parent), tuple(order), tuple(children))
 
 
 def build_greedy_tree(seq: DegreeSequence | Iterable[int]) -> RootedTree:
-    """Construct the greedy tree for an internal degree sequence.
+    """Construct the greedy tree for an internal degree sequence, rooted at 0.
 
     The root gets degree d1; each expanded vertex hands the largest
     remaining degrees to its children in non-increasing order, and the
     vertex with the largest degree (lowest label on ties) is expanded
     next.  Internal vertices are labeled 0..k-1 in assignment order,
-    leaves k..n-1.  The empty sequence yields K2.
+    leaves k..n-1.  Labels are handed out in BFS order, so rooting the
+    tree at 0 gives back the construction's layering.  The empty
+    sequence yields K2.
     """
-    if not isinstance(seq, DegreeSequence):
-        seq = DegreeSequence.normalize(seq)
+    seq = DegreeSequence.normalize(seq)
     k = len(seq)
     if k == 0:
-        tree = Tree(2, [(0, 1)])
-        return RootedTree(tree, 0, {1: 0}, (0, 1), {0: (1,), 1: ()})
+        return RootedTree.from_tree(Tree(2, [(0, 1)]))
     n = seq.total_vertices()
     # Largest remaining degree is always the next unconsumed pool entry.
     pool = list(seq.entries[1:]) + [1] * seq.leaf_count()
@@ -93,13 +83,9 @@ def build_greedy_tree(seq: DegreeSequence | Iterable[int]) -> RootedTree:
     next_internal, next_leaf = 1, k
     heap: list[tuple[int, int]] = [(-seq[0], 0)]
     edges: list[tuple[int, int]] = []
-    parent: dict[int, int] = {}
-    order = [0]
-    children: dict[int, tuple[int, ...]] = {}
     while heap:
         negd, u = heapq.heappop(heap)
         slots = -negd if u == 0 else -negd - 1
-        kids = []
         for _ in range(slots):
             d = pool[ptr]
             ptr += 1
@@ -111,14 +97,7 @@ def build_greedy_tree(seq: DegreeSequence | Iterable[int]) -> RootedTree:
                 c = next_leaf
                 next_leaf += 1
             edges.append((u, c))
-            parent[c] = u
-            order.append(c)
-            kids.append(c)
-        children[u] = tuple(kids)
-    for v in range(n):
-        children.setdefault(v, ())
-    assert ptr == len(pool) and len(order) == n
-    return RootedTree(Tree(n, edges), 0, parent, tuple(order), children)
+    return RootedTree.from_tree(Tree(n, edges))
 
 
 class PathWitness(NamedTuple):
@@ -309,9 +288,8 @@ def leaf_levels(tree: Tree) -> list[int]:
     return level
 
 
-def check_level_monotonicity(t: RootedTree | Tree) -> bool:
+def check_level_monotonicity(tree: Tree) -> bool:
     """True iff max degree in level set L_i <= min degree in L_{i+1} for all i."""
-    tree = t.tree if isinstance(t, RootedTree) else t
     level = leaf_levels(tree)
     top = max(level)
     lo = [float("inf")] * (top + 1)

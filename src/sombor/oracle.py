@@ -97,13 +97,9 @@ def prufer_encode(tree: Tree) -> list[int]:
     return code
 
 
-def _coerce(seq: DegreeSequence | Iterable[int]) -> DegreeSequence:
-    return seq if isinstance(seq, DegreeSequence) else DegreeSequence.normalize(seq)
-
-
 def enumeration_count(seq: DegreeSequence | Iterable[int]) -> int:
     """(n-2)! / prod((d_i - 1)!) labeled trees realize the sequence."""
-    seq = _coerce(seq)
+    seq = DegreeSequence.normalize(seq)
     n = seq.total_vertices()
     count = math.factorial(n - 2)
     for d in seq:
@@ -143,7 +139,7 @@ def enumerate_trees(
     BudgetExceededError before yielding anything if the count exceeds
     the budget.
     """
-    seq = _coerce(seq)
+    seq = DegreeSequence.normalize(seq)
     expected = enumeration_count(seq)
     if expected > budget:
         raise BudgetExceededError(expected, budget)
@@ -244,7 +240,7 @@ def verify_minimality(
     Isomorphism classes are counted when the enumeration has at most
     class_limit trees; otherwise isomorphism_classes is None.
     """
-    seq = _coerce(seq)
+    seq = DegreeSequence.normalize(seq)
     count = enumeration_count(seq)
     if count > budget:
         raise BudgetExceededError(count, budget)
@@ -303,9 +299,9 @@ def sweep_verify(
 ) -> Iterator[SweepRow]:
     """Verify every sequence up to max_n vertices, skipping over-budget ones."""
     for seq in sweep_sequences(max_n):
-        count = enumeration_count(seq)
-        if count > budget:
-            yield SweepRow(seq, count, None)
+        try:
+            report = verify_minimality(seq, budget=budget, tolerance=tolerance, class_limit=0)
+        except BudgetExceededError as exc:
+            yield SweepRow(seq, exc.count, None)
             continue
-        report = verify_minimality(seq, budget=budget, tolerance=tolerance, class_limit=0)
-        yield SweepRow(seq, count, report)
+        yield SweepRow(seq, report.labeled_count, report)

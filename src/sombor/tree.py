@@ -36,10 +36,10 @@ class Tree:
                 "not connected"
             )
         norm: list[Edge] = []
-        seen: set[Edge] = set()
         # Union-find: more than n-1 edges always close a cycle, and n-1
         # edges without one connect all n vertices, so the loop below
-        # finds every remaining defect.
+        # finds every remaining defect.  A repeated edge finds its
+        # endpoints already joined, so it is told apart from a cycle there.
         root = list(range(n))
 
         def find(x: int) -> int:
@@ -56,11 +56,10 @@ class Tree:
             if u == v:
                 raise InvalidTreeError(f"cycle detected: self-loop at {u}")
             e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise InvalidTreeError(f"duplicate edge {e}")
-            seen.add(e)
             ru, rv = find(u), find(v)
             if ru == rv:
+                if e in norm:
+                    raise InvalidTreeError(f"duplicate edge {e}")
                 raise InvalidTreeError(f"cycle detected: edge {e} closes a cycle")
             root[ru] = rv
             norm.append(e)

@@ -247,8 +247,8 @@ def _strip(rooted: RootedTree):
     vk = _choose_strip_vertex(rooted)
     dk = tree.degree(vk)
     kids = rooted.children[vk]
-    parent = rooted.parent_of(vk)
-    if parent is None:
+    parent = rooted.parent[vk]
+    if parent < 0:
         removed = set(kids[1:])
         d_p = None
     else:

@@ -92,25 +92,26 @@ class TestBuildGreedyTree:
     @given(seq=small_sequences)
     def test_parent_map_consistent(self, seq):
         rt = build_greedy_tree(seq)
-        assert rt.root not in rt.parent
-        for child, parent in rt.parent.items():
-            e = (min(child, parent), max(child, parent))
-            assert e in rt.tree.edges
-        assert len(rt.parent) == rt.tree.n - 1
+        assert rt.parent[rt.root] == -1
+        for child, parent in enumerate(rt.parent):
+            if child != rt.root:
+                assert (min(child, parent), max(child, parent)) in rt.tree.edges
+                assert child in rt.children[parent]
+        assert len(rt.parent) == len(rt.children) == rt.tree.n
 
 
 class TestRootedTree:
     def test_from_tree_path(self):
         rt = RootedTree.from_tree(path(4), root=0)
         assert rt.bfs_order == (0, 1, 2, 3)
-        assert rt.parent == {1: 0, 2: 1, 3: 2}
-        assert rt.children[1] == (2,)
-        assert rt.parent_of(0) is None
+        assert rt.parent == (-1, 0, 1, 2)
+        assert rt.children == ((1,), (2,), (3,), ())
 
     def test_from_tree_interior_root(self):
         rt = RootedTree.from_tree(path(4), root=1)
         assert rt.bfs_order == (1, 0, 2, 3)
-        assert rt.children[1] == (0, 2)
+        assert rt.parent == (1, -1, 1, 2)
+        assert rt.children == ((), (0, 2), (3,), ())
 
     def test_root_out_of_range(self):
         with pytest.raises(ValueError):
@@ -166,13 +167,13 @@ class TestLevelMonotonicity:
         assert leaf_levels(path(6)) == [0, 1, 2, 2, 1, 0]
 
     def test_star(self):
-        assert check_level_monotonicity(build_greedy_tree((4,)))
+        assert check_level_monotonicity(build_greedy_tree((4,)).tree)
 
     def test_p6(self):
         assert check_level_monotonicity(path(6))
 
     def test_greedy_four_three_two(self):
-        assert check_level_monotonicity(build_greedy_tree((4, 3, 2)))
+        assert check_level_monotonicity(build_greedy_tree((4, 3, 2)).tree)
 
     def test_chain_fails(self):
         # The middle degree-2 vertex sits above the degree-3 vertices.
@@ -183,4 +184,4 @@ class TestLevelMonotonicity:
 
     def test_greedy_trees_pass(self):
         for seq in sweep_sequences(8):
-            assert check_level_monotonicity(build_greedy_tree(seq))
+            assert check_level_monotonicity(build_greedy_tree(seq).tree)

@@ -114,7 +114,15 @@ class TestEnumeration:
         assert exc.value.count == 362880
         assert exc.value.budget == 1000
 
-    @given(seq=st.lists(st.integers(2, 4), max_size=4).map(DegreeSequence.normalize))
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            DegreeSequence(entries)
+            for k in range(5)
+            for entries in itertools.combinations_with_replacement((4, 3, 2), k)
+        ],
+        ids=str,
+    )
     def test_enumerated_count_matches_formula(self, seq):
         n = seq.total_vertices()
         expected = math.factorial(n - 2)
@@ -201,6 +209,7 @@ class TestSweep:
         assert skipped
         for r in skipped:
             assert r.labeled_count > 50
+            assert r.labeled_count == enumeration_count(r.sequence)
             assert r.report is None
         done = [r for r in rows if not r.skipped]
         assert all(r.report.passed for r in done)

@@ -49,8 +49,11 @@ class TestValidation:
             Tree(10**6, [(0, 1)])
 
     def test_duplicate_edge(self):
-        with pytest.raises(InvalidTreeError, match="duplicate edge"):
+        with pytest.raises(InvalidTreeError, match=r"duplicate edge \(0, 1\)"):
             Tree(3, [(0, 1), (1, 0), (1, 2)])
+        # Reversed, after other edges, with more than n-1 edges.
+        with pytest.raises(InvalidTreeError, match=r"duplicate edge \(1, 2\)"):
+            Tree(4, [(0, 1), (1, 2), (2, 3), (2, 1)])
 
     def test_self_loop(self):
         with pytest.raises(InvalidTreeError, match="cycle detected"):
