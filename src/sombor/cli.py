@@ -19,12 +19,7 @@ from typing import Optional
 from . import oracle
 from .decompose import base_value, decompose, replay_totals
 from .degrees import DegreeSequence
-from .errors import (
-    BudgetExceededError,
-    InvalidDegreeSequenceError,
-    InvalidTreeError,
-    StaleSwapError,
-)
+from .errors import BudgetExceededError
 from .greedy import build_greedy_tree
 from .swaps import local_search
 from .tree import Tree
@@ -107,15 +102,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     tree = _load_tree(args.input)
     result = local_search(tree)
-    trace = [
-        {
-            "removed": [list(e) for e in s.removed],
-            "added": [list(e) for e in s.added],
-            "delta": _round9(s.predicted_delta),
-            "sombor": _round9(v),
-        }
-        for s, v in zip(result.swaps, result.values)
-    ]
     if args.output_format == "json":
         _emit_json(
             {
@@ -125,7 +111,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "steps": result.steps,
                 "n": result.tree.n,
                 "edges": [list(e) for e in result.tree.edges],
-                "trace": trace if args.trace else [],
+                "trace": [
+                    {
+                        "removed": [list(e) for e in s.removed],
+                        "added": [list(e) for e in s.added],
+                        "delta": _round9(s.predicted_delta),
+                        "sombor": _round9(v),
+                    }
+                    for s, v in zip(result.swaps, result.values)
+                ]
+                if args.trace
+                else [],
             }
         )
     else:
@@ -195,42 +191,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = list(
-        oracle.sweep_verify(args.max_n, budget=args.budget, tolerance=args.tol)
-    )
-    n_pass = sum(1 for r in rows if r.report is not None and r.report.passed)
-    n_fail = sum(1 for r in rows if r.report is not None and not r.report.passed)
-    n_skip = sum(1 for r in rows if r.report is None)
+    # Called before any output: a max_n below 2 raises here, not mid-CSV.
+    rows = oracle.sweep_verify(args.max_n, budget=args.budget, tolerance=args.tol)
+    tally = {"pass": 0, "fail": 0, "skipped": 0}
 
-    def status(row: oracle.SweepRow) -> str:
-        if row.report is None:
-            return "skipped"
-        return "pass" if row.report.passed else "fail"
+    def outcome(row: oracle.SweepRow):
+        """Tally the row's status; return it with greedy and oracle_min, None if skipped."""
+        rep = row.report
+        status = "skipped" if rep is None else "pass" if rep.passed else "fail"
+        tally[status] += 1
+        return (status, None, None) if rep is None else (status, rep.greedy_value, rep.oracle_min)
 
-    if args.output_format == "json":
-        _emit_json(
-            {
-                "command": "sweep",
-                "max_n": args.max_n,
-                "rows": [
-                    {
-                        "degree_sequence": list(r.sequence),
-                        "total_vertices": r.sequence.total_vertices(),
-                        "labeled_count": r.labeled_count,
-                        "greedy": None
-                        if r.report is None
-                        else _round9(r.report.greedy_value),
-                        "oracle_min": None
-                        if r.report is None
-                        else _round9(r.report.oracle_min),
-                        "status": status(r),
-                    }
-                    for r in rows
-                ],
-                "summary": {"pass": n_pass, "fail": n_fail, "skipped": n_skip},
-            }
-        )
-    elif args.output_format == "csv":
+    json_rows = []
+    if args.output_format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             [
@@ -242,30 +215,49 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "status",
             ]
         )
-        for r in rows:
+    # Text and CSV rows are flushed as each sequence finishes, so a piped
+    # sweep shows progress; JSON is printed once, at the end.
+    for r in rows:
+        status, g, o = outcome(r)
+        if args.output_format == "json":
+            json_rows.append(
+                {
+                    "degree_sequence": list(r.sequence),
+                    "total_vertices": r.sequence.total_vertices(),
+                    "labeled_count": r.labeled_count,
+                    "greedy": None if g is None else _round9(g),
+                    "oracle_min": None if o is None else _round9(o),
+                    "status": status,
+                }
+            )
+        elif args.output_format == "csv":
             writer.writerow(
                 [
                     " ".join(str(d) for d in r.sequence),
                     r.sequence.total_vertices(),
                     r.labeled_count,
-                    "" if r.report is None else _fmt(r.report.greedy_value),
-                    "" if r.report is None else _fmt(r.report.oracle_min),
-                    status(r),
+                    "" if g is None else _fmt(g),
+                    "" if o is None else _fmt(o),
+                    status,
                 ]
             )
-    else:
-        for r in rows:
-            g = "-" if r.report is None else _fmt(r.report.greedy_value)
-            o = "-" if r.report is None else _fmt(r.report.oracle_min)
+            sys.stdout.flush()
+        else:
+            g = "-" if g is None else _fmt(g)
+            o = "-" if o is None else _fmt(o)
             print(
                 f"{str(r.sequence):<24} n={r.sequence.total_vertices():<3} "
                 f"count={r.labeled_count:<9} greedy={g:<15} "
-                f"oracle={o:<15} {status(r)}"
+                f"oracle={o:<15} {status}",
+                flush=True,
             )
-        print(f"total: {n_pass} pass, {n_fail} fail, {n_skip} skipped")
-    if n_fail:
+    if args.output_format == "json":
+        _emit_json({"command": "sweep", "max_n": args.max_n, "rows": json_rows, "summary": tally})
+    elif args.output_format == "text":
+        print("total: {pass} pass, {fail} fail, {skipped} skipped".format(**tally))
+    if tally["fail"]:
         return EXIT_VERIFY
-    if n_skip:
+    if tally["skipped"]:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -397,13 +389,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        InvalidDegreeSequenceError,
-        InvalidTreeError,
-        StaleSwapError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

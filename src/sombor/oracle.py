@@ -163,12 +163,13 @@ def enumerate_trees(
 
 def _scan_min(
     seq: DegreeSequence, count_classes: bool
-) -> tuple[float, list[int], int, Optional[int]]:
-    """Minimum Sombor value over the enumeration, without building trees.
+) -> tuple[list[int], int, Optional[int]]:
+    """Code of a minimum-Sombor tree of the enumeration, without building trees.
 
-    Returns (min value, argmin code, scanned count, isomorphism classes
-    or None).  Each code is pointer-decoded while summing precomputed
-    edge weights; only count_classes decodes each code to a Tree for its
+    Returns (argmin code, scanned count, isomorphism classes or None).
+    Each code is pointer-decoded while summing precomputed edge weights
+    (code entries are internal labels < k; the last edge ends at leaf
+    n-1); only count_classes decodes each code to a Tree for its
     canonical form.  The argmin is the first code, in lexicographic
     order, within _TIE_EPS of the minimum: a later code replaces it only
     when lower by more than _TIE_EPS, so labelings of one tree that
@@ -177,13 +178,13 @@ def _scan_min(
     k = len(seq)
     n = seq.total_vertices()
     base = list(seq.entries) + [1] * seq.leaf_count()
-    weight = [[math.hypot(a, b) for b in base] for a in base]
+    weight = [[math.hypot(a, b) for b in base] for a in base[:k]]
+    tail = [math.hypot(b, 1) for b in base]
     code = _base_code(seq)
     classes: Optional[set[str]] = set() if count_classes else None
-    best = bar = math.inf
+    bar = math.inf
     best_code = list(code)
     count = 0
-    last = n - 1
     while True:
         count += 1
         deg = base.copy()
@@ -201,16 +202,15 @@ def _scan_min(
                 while deg[ptr] != 1:
                     ptr += 1
                 leaf = ptr
-        total += weight[leaf][last]
+        total += tail[leaf]
         if total < bar:
-            best = total
             bar = total - _TIE_EPS
             best_code = code.copy()
         if classes is not None:
             classes.add(prufer_decode(code, n).canonical_form())
         if not _next_permutation(code):
             break
-    return best, best_code, count, None if classes is None else len(classes)
+    return best_code, count, None if classes is None else len(classes)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,8 @@ def verify_minimality(
 
     Every labeled tree is scored by the value-only scan.  The argmin is
     the first tree in lexicographic Prüfer-code order whose value is
-    within _TIE_EPS of the minimum, and oracle_min is its value.
+    within _TIE_EPS of the minimum, and oracle_min is its Tree.sombor(),
+    the same fsum as greedy_value rather than the scan's running sum.
     Isomorphism classes are counted when the enumeration has at most
     class_limit trees; otherwise isomorphism_classes is None.
     """
@@ -245,14 +246,16 @@ def verify_minimality(
     if count > budget:
         raise BudgetExceededError(count, budget)
     greedy_value = build_greedy_tree(seq).tree.sombor()
-    oracle_min, best_code, seen, iso = _scan_min(seq, count <= class_limit)
+    best_code, seen, iso = _scan_min(seq, count <= class_limit)
     if seen != count:
         raise RuntimeError(f"scanned {seen} trees, expected {count}")
+    argmin = prufer_decode(best_code, seq.total_vertices())
+    oracle_min = argmin.sombor()
     return VerificationReport(
         degree_sequence=seq,
         greedy_value=greedy_value,
         oracle_min=oracle_min,
-        argmin=prufer_decode(best_code, seq.total_vertices()),
+        argmin=argmin,
         labeled_count=seen,
         isomorphism_classes=iso,
         passed=abs(greedy_value - oracle_min) <= tolerance,
@@ -297,11 +300,16 @@ def sweep_verify(
     budget: int = DEFAULT_BUDGET,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Iterator[SweepRow]:
-    """Verify every sequence up to max_n vertices, skipping over-budget ones."""
-    for seq in sweep_sequences(max_n):
+    """Verify every sequence up to max_n vertices, skipping over-budget ones.
+
+    max_n < 2 raises at the call; each row is verified as it is drawn.
+    """
+
+    def row(seq: DegreeSequence) -> SweepRow:
         try:
             report = verify_minimality(seq, budget=budget, tolerance=tolerance, class_limit=0)
         except BudgetExceededError as exc:
-            yield SweepRow(seq, exc.count, None)
-            continue
-        yield SweepRow(seq, report.labeled_count, report)
+            return SweepRow(seq, exc.count, None)
+        return SweepRow(seq, report.labeled_count, report)
+
+    return map(row, sweep_sequences(max_n))

@@ -224,6 +224,10 @@ class TestVerify:
         assert obj["greedy"] == obj["oracle_min"] == 19.571092921
         assert obj["pass"] is True
 
+    def test_large_star_passes(self, capsys):
+        assert main(["verify", "-d", "1000"]) == EXIT_OK
+        assert "status: PASS" in capsys.readouterr().out
+
     def test_failed_report_exits_3(self, capsys, monkeypatch):
         fake = oracle.VerificationReport(
             degree_sequence=DegreeSequence((2,)),
@@ -289,6 +293,34 @@ class TestSweep:
         monkeypatch.setattr(oracle, "sweep_verify", lambda *a, **k: iter(rows))
         assert main(["sweep", "--max-n", "5"]) == EXIT_VERIFY
         assert "1 fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "fmt, first_line",
+        [
+            ("text", f"{'()':<24} n=2   count=1         greedy=1.414213562     oracle=1.414213562     pass"),
+            ("csv", ",2,1,1.414213562,1.414213562,pass"),
+        ],
+        ids=["text", "csv"],
+    )
+    def test_rows_are_written_as_they_finish(self, capsys, monkeypatch, fmt, first_line):
+        real = oracle.sweep_verify
+
+        def streamed(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            yield next(rows)
+            assert capsys.readouterr().out.endswith(first_line + "\n")
+            yield from rows
+
+        monkeypatch.setattr(oracle, "sweep_verify", streamed)
+        assert main(["sweep", "--max-n", "3", "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0].startswith("2")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_bound_below_two_prints_nothing(self, capsys, fmt):
+        assert main(["sweep", "--max-n", "1", "--format", fmt]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: max_n must be >= 2, got 1\n"
 
     def test_missing_max_n_is_usage_error(self):
         usage_error(["sweep"])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -177,6 +178,24 @@ class TestVerifyMinimality:
             over = verify_minimality(seq, class_limit=len(trees) - 1)
             assert over.isomorphism_classes is None
             assert over.argmin == first_min
+
+    @pytest.mark.parametrize("seq, budget", [((1000,), 1), ((1000, 2), 1000)])
+    def test_large_star_passes(self, seq, budget):
+        # The scan's running sum of 1000 equal weights drifts from the
+        # fsum Tree.sombor() by more than the default tolerance.
+        rep = verify_minimality(seq, budget=budget, class_limit=0)
+        assert rep.oracle_min == rep.argmin.sombor()
+        assert rep.passed
+
+    def test_weight_table_rows_are_internal_labels(self):
+        # An n x n table for the star K_{1,2000} would take about 130 MB.
+        tracemalloc.start()
+        try:
+            verify_minimality((2000,), budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_argmin_attains_minimum(self):
         for seq in [(3, 2), (3, 3, 2), (4, 2)]:
