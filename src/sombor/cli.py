@@ -142,8 +142,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     seq = args.degrees
-    count = oracle.enumeration_count(seq)
     trees = oracle.enumerate_trees(seq, budget=args.budget)
+    count = oracle.enumeration_count(seq)
     if args.output_format == "json":
         _emit_json(
             {

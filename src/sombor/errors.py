@@ -17,9 +17,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would visit more trees than allowed."""
 
     def __init__(self, count: int, budget: int):
-        super().__init__(
-            f"enumeration of {count} labeled trees exceeds budget {budget}"
-        )
+        try:
+            size = str(count)
+        except ValueError:  # past str()'s digit limit; 0.301029995 < log10(2)
+            size = f"at least 10^{(count.bit_length() - 1) * 301029995 // 10**9}"
+        super().__init__(f"enumeration of {size} labeled trees exceeds budget {budget}")
         self.count = count
         self.budget = budget
 

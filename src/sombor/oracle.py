@@ -6,9 +6,10 @@ times}, so enumerating those permutations enumerates the trees.  The
 oracle scans them all, tracks the Sombor minimum, and compares it with
 the greedy construction.
 
-`verify_minimality` scores every code in one value-only scan that
-pointer-decodes the code while summing edge weights, with no Tree
-allocation; only the optional isomorphism-class count decodes each
+Every route passes one budget gate and reads one self-checking code
+walk.  `verify_minimality` scores every code in one value-only scan
+that pointer-decodes the code while summing edge weights, with no Tree
+allocation; only its optional isomorphism-class count decodes each
 code to a Tree.  `enumerate_trees` yields validated Tree objects for
 callers that want the trees themselves, and the tests keep it as the
 slow reference the scan is checked against.
@@ -98,35 +99,52 @@ def prufer_encode(tree: Tree) -> list[int]:
 
 
 def enumeration_count(seq: DegreeSequence | Iterable[int]) -> int:
-    """(n-2)! / prod((d_i - 1)!) labeled trees realize the sequence."""
+    """(n-2)! / prod((d_i - 1)!) labeled trees realize the sequence.
+
+    Built as a product of binomials, so no big factorial is divided.
+    """
     seq = DegreeSequence.normalize(seq)
-    n = seq.total_vertices()
-    count = math.factorial(n - 2)
+    count = 1
+    slots = 0
     for d in seq:
-        count //= math.factorial(d - 1)
+        slots += d - 1
+        count *= math.comb(slots, d - 1)
     return count
 
 
-def _base_code(seq: DegreeSequence) -> list[int]:
-    code = []
-    for i, d in enumerate(seq):
-        code.extend([i] * (d - 1))
-    return code
+def _admit(seq: DegreeSequence | Iterable[int], budget: int) -> tuple[DegreeSequence, int]:
+    """The normalized sequence and its count; BudgetExceededError past budget."""
+    seq = DegreeSequence.normalize(seq)
+    count = enumeration_count(seq)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
+    return seq, count
 
 
-def _next_permutation(a: list[int]) -> bool:
-    """Advance to the next lexicographic permutation in place."""
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = a[i + 1 :][::-1]
-    return True
+def _codes(seq: DegreeSequence, count: int) -> Iterator[list[int]]:
+    """Every code of the sequence in lexicographic order, as one list advanced in place.
+
+    Raises RuntimeError on exhaustion unless exactly count codes came out.
+    """
+    a = [i for i, d in enumerate(seq) for _ in range(d - 1)]
+    seen = 0
+    while True:
+        yield a
+        seen += 1
+        # Next permutation: swap the last ascent's head with its least
+        # larger successor, then reverse the tail.
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            break
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[i + 1 :][::-1]
+    if seen != count:
+        raise RuntimeError(f"enumeration produced {seen} codes, expected {count}")
 
 
 def enumerate_trees(
@@ -139,54 +157,28 @@ def enumerate_trees(
     BudgetExceededError before yielding anything if the count exceeds
     the budget.
     """
-    seq = DegreeSequence.normalize(seq)
-    expected = enumeration_count(seq)
-    if expected > budget:
-        raise BudgetExceededError(expected, budget)
+    seq, count = _admit(seq, budget)
     n = seq.total_vertices()
-
-    def _iter() -> Iterator[Tree]:
-        code = _base_code(seq)
-        seen = 0
-        while True:
-            yield prufer_decode(code, n)
-            seen += 1
-            if not _next_permutation(code):
-                break
-        if seen != expected:
-            raise RuntimeError(
-                f"enumeration produced {seen} trees, expected {expected}"
-            )
-
-    return _iter()
+    return (prufer_decode(code, n) for code in _codes(seq, count))
 
 
-def _scan_min(
-    seq: DegreeSequence, count_classes: bool
-) -> tuple[list[int], int, Optional[int]]:
+def _scan_min(seq: DegreeSequence, count: int) -> list[int]:
     """Code of a minimum-Sombor tree of the enumeration, without building trees.
 
-    Returns (argmin code, scanned count, isomorphism classes or None).
     Each code is pointer-decoded while summing precomputed edge weights
     (code entries are internal labels < k; the last edge ends at leaf
-    n-1); only count_classes decodes each code to a Tree for its
-    canonical form.  The argmin is the first code, in lexicographic
-    order, within _TIE_EPS of the minimum: a later code replaces it only
-    when lower by more than _TIE_EPS, so labelings of one tree that
-    differ by rounding never displace each other.
+    n-1).  The argmin is the first code, in lexicographic order, within
+    _TIE_EPS of the minimum: a later code replaces it only when lower by
+    more than _TIE_EPS, so labelings of one tree that differ by rounding
+    never displace each other.
     """
     k = len(seq)
-    n = seq.total_vertices()
     base = list(seq.entries) + [1] * seq.leaf_count()
     weight = [[math.hypot(a, b) for b in base] for a in base[:k]]
     tail = [math.hypot(b, 1) for b in base]
-    code = _base_code(seq)
-    classes: Optional[set[str]] = set() if count_classes else None
     bar = math.inf
-    best_code = list(code)
-    count = 0
-    while True:
-        count += 1
+    best_code: list[int] = []
+    for code in _codes(seq, count):
         deg = base.copy()
         total = 0.0
         ptr = k
@@ -206,11 +198,7 @@ def _scan_min(
         if total < bar:
             bar = total - _TIE_EPS
             best_code = code.copy()
-        if classes is not None:
-            classes.add(prufer_decode(code, n).canonical_form())
-        if not _next_permutation(code):
-            break
-    return best_code, count, None if classes is None else len(classes)
+    return best_code
 
 
 @dataclass(frozen=True)
@@ -238,25 +226,23 @@ def verify_minimality(
     the first tree in lexicographic Prüfer-code order whose value is
     within _TIE_EPS of the minimum, and oracle_min is its Tree.sombor(),
     the same fsum as greedy_value rather than the scan's running sum.
-    Isomorphism classes are counted when the enumeration has at most
-    class_limit trees; otherwise isomorphism_classes is None.
+    Isomorphism classes are counted, by a second walk, when there are at
+    most class_limit trees; otherwise isomorphism_classes is None.
     """
-    seq = DegreeSequence.normalize(seq)
-    count = enumeration_count(seq)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
+    seq, count = _admit(seq, budget)
+    n = seq.total_vertices()
     greedy_value = build_greedy_tree(seq).tree.sombor()
-    best_code, seen, iso = _scan_min(seq, count <= class_limit)
-    if seen != count:
-        raise RuntimeError(f"scanned {seen} trees, expected {count}")
-    argmin = prufer_decode(best_code, seq.total_vertices())
+    argmin = prufer_decode(_scan_min(seq, count), n)
+    iso = None
+    if count <= class_limit:
+        iso = len({prufer_decode(c, n).canonical_form() for c in _codes(seq, count)})
     oracle_min = argmin.sombor()
     return VerificationReport(
         degree_sequence=seq,
         greedy_value=greedy_value,
         oracle_min=oracle_min,
         argmin=argmin,
-        labeled_count=seen,
+        labeled_count=count,
         isomorphism_classes=iso,
         passed=abs(greedy_value - oracle_min) <= tolerance,
     )

@@ -195,6 +195,11 @@ class TestEnumerate:
         assert err.startswith("error:")
         assert "budget" in err
 
+    def test_budget_exceeded_with_huge_count_exits_4(self, capsys):
+        # 8000,8000 has a count of 4814 digits, past str()'s default limit.
+        assert main(["enumerate", "-d", "8000,8000", "--budget", "1"]) == EXIT_BUDGET
+        assert "exceeds budget 1" in capsys.readouterr().err
+
     def test_nonpositive_budget_is_usage_error(self):
         usage_error(["enumerate", "-d", "3,2", "--budget", "0"])
 
@@ -245,6 +250,10 @@ class TestVerify:
     def test_budget_exceeded_exits_4(self, capsys):
         assert main(["verify", "-d", "2,2,2,2", "--budget", "2"]) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_exceeded_with_huge_count_exits_4(self, capsys):
+        assert main(["verify", "-d", "8000,8000", "--budget", "1"]) == EXIT_BUDGET
+        assert "exceeds budget 1" in capsys.readouterr().err
 
     def test_nonpositive_tolerance_is_usage_error(self):
         usage_error(["verify", "-d", "3,2", "--tol", "0"])

@@ -14,6 +14,7 @@ from sombor.errors import BudgetExceededError
 from sombor.greedy import build_greedy_tree
 from sombor.oracle import (
     _TIE_EPS,
+    _codes,
     enumerate_trees,
     enumeration_count,
     prufer_decode,
@@ -91,6 +92,20 @@ class TestEnumeration:
     )
     def test_counts(self, seq, count):
         assert enumeration_count(seq) == count
+        seq = DegreeSequence.normalize(seq)
+        codes = [tuple(c) for c in _codes(seq, count)]
+        assert len(codes) == count
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        with pytest.raises(RuntimeError):
+            list(_codes(seq, count + 1))
+
+    def test_count_matches_factorial_formula(self):
+        extra = [(8000, 8000), (2,) * 500, (50, 40, 3)]
+        for seq in sweep_sequences(14) + [DegreeSequence(s) for s in extra]:
+            expected = math.factorial(seq.total_vertices() - 2)
+            for d in seq:
+                expected //= math.factorial(d - 1)
+            assert enumeration_count(seq) == expected
 
     def test_enumerate_three_two(self):
         trees = list(enumerate_trees((3, 2)))
