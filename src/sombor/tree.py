@@ -210,15 +210,12 @@ class Tree:
             raise InvalidTreeError('JSON tree needs keys "n" and "edges"')
         n = obj["n"]
         edges = obj["edges"]
-        if not isinstance(n, int) or not isinstance(edges, list):
+        # type() rather than isinstance(): JSON true and false are bools, an int subclass.
+        if type(n) is not int or not isinstance(edges, list):
             raise InvalidTreeError('"n" must be an int and "edges" a list')
         pairs = []
         for e in edges:
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(isinstance(x, int) for x in e)
-            ):
+            if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
                 raise InvalidTreeError(f"malformed edge {e!r}")
             pairs.append((e[0], e[1]))
         return cls(n, pairs)

@@ -5,17 +5,20 @@ stdout, stderr, and the exit code.  Usage errors surface as
 SystemExit(1) from the parser; everything else returns an int.
 """
 
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import sombor
 from sombor import DegreeSequence, Tree, oracle
-from sombor.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, main
+from sombor.cli import EXIT_BUDGET, EXIT_OK, EXIT_TOO_LARGE, EXIT_VALIDATION, EXIT_VERIFY, main
 
 GREEDY_32_TEXT = "5\n0 1\n0 2\n0 3\n1 4\nSO = 12.166174573\n"
 
@@ -112,6 +115,21 @@ class TestIndex:
     def test_missing_file(self, capsys, tmp_path):
         assert main(["index", "--input", str(tmp_path / "nope.txt")]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("index", '{"n": true, "edges": []}'),
+            ("optimize", '{"n": 3, "edges": [[0, true], [true, 2]]}'),
+        ],
+        ids=["index-n", "optimize-labels"],
+    )
+    def test_json_booleans_rejected(self, capsys, monkeypatch, command, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main([command, "--input", "-", "--format", "json"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_cyclic_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "c3.txt"
@@ -412,6 +430,52 @@ class TestUsage:
 
     def test_bad_format_choice(self):
         usage_error(["greedy", "-d", "3,2", "--format", "yaml"])
+
+
+class TestTooLarge:
+    @pytest.mark.parametrize(
+        "argv",
+        [["greedy", "-d", "100000000"], ["verify", "-d", "99999999999999999999999999"]],
+        ids=["memory", "overflow"],
+    )
+    def test_oversized_input_exits_5_with_one_line(self, argv):
+        # The child caps its own address space at 256 MB before it runs the
+        # CLI, so the greedy build of 10^8 vertices runs out of memory; the
+        # verify sequence has one labeled tree but too many leaves to index.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from sombor.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sombor.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_TOO_LARGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: input too large for this machine")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+class TestConsoleScript:
+    def test_pyproject_target_runs_the_cli(self, capsys, monkeypatch):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        # A regex, not tomllib: Python 3.10 has no TOML parser.
+        pattern = r'^\[project\.scripts\]$[^\[]*^sombor\s*=\s*"([\w.]+):(\w+)"'
+        match = re.search(pattern, text, re.M)
+        assert match, "pyproject.toml names no sombor console script"
+        target = getattr(importlib.import_module(match[1]), match[2])
+        monkeypatch.setattr(sys, "argv", ["sombor", "greedy", "-d", "3,2"])
+        with pytest.raises(SystemExit) as excinfo:
+            target()
+        assert excinfo.value.code == EXIT_OK
+        assert capsys.readouterr().out == GREEDY_32_TEXT
 
 
 class TestPipes:

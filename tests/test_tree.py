@@ -194,6 +194,15 @@ class TestSerialization:
         with pytest.raises(InvalidTreeError):
             Tree.from_json(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": true, "edges": []}', '{"n": 3, "edges": [[0, true], [true, 2]]}'],
+        ids=["n", "labels"],
+    )
+    def test_json_booleans_are_not_ints(self, text):
+        with pytest.raises(InvalidTreeError):
+            Tree.from_json(text)
+
     def test_dot_output(self):
         dot = star(2).to_dot()
         assert dot == "graph tree {\n  0 -- 1;\n  0 -- 2;\n}\n"
