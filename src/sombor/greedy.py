@@ -21,8 +21,6 @@ first costs the flag pass and a single BFS.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -47,18 +45,9 @@ class RootedTree:
     @classmethod
     def from_tree(cls, tree: Tree, root: int = 0) -> "RootedTree":
         """Root an existing tree; children are visited in ascending label order."""
-        if not 0 <= root < tree.n:
-            raise ValueError(f"root {root} out of range for n={tree.n}")
-        parent = [-1] * tree.n
-        children: list[tuple[int, ...]] = [()] * tree.n
-        order = [root]
-        for v in order:
-            kids = tuple(w for w in tree.neighbors(v) if w != parent[v])
-            for w in kids:
-                parent[w] = v
-            children[v] = kids
-            order += kids
-        return cls(tree, root, tuple(parent), tuple(order), tuple(children))
+        order, parent = tree.bfs(root)
+        kids = (tuple(w for w in tree.neighbors(v) if w != parent[v]) for v in range(tree.n))
+        return cls(tree, root, tuple(parent), tuple(order), tuple(kids))
 
 
 def build_greedy_tree(seq: DegreeSequence | Iterable[int]) -> RootedTree:
@@ -71,33 +60,19 @@ def build_greedy_tree(seq: DegreeSequence | Iterable[int]) -> RootedTree:
     leaves k..n-1.  Labels are handed out in BFS order, so rooting the
     tree at 0 gives back the construction's layering.  The empty
     sequence yields K2.
+
+    Degrees fall with the label, so vertices are expanded in label
+    order and vertex c >= 1 hangs off the owner of the c-th child slot:
+    the root owns d1 slots, every other internal vertex d - 1.
     """
     seq = DegreeSequence.normalize(seq)
-    k = len(seq)
-    if k == 0:
+    if not seq:
         return RootedTree.from_tree(Tree(2, [(0, 1)]))
+    owners = [0] * seq[0]
+    for u, d in enumerate(seq.entries[1:], 1):
+        owners += [u] * (d - 1)
     n = seq.total_vertices()
-    # Largest remaining degree is always the next unconsumed pool entry.
-    pool = list(seq.entries[1:]) + [1] * seq.leaf_count()
-    ptr = 0
-    next_internal, next_leaf = 1, k
-    heap: list[tuple[int, int]] = [(-seq[0], 0)]
-    edges: list[tuple[int, int]] = []
-    while heap:
-        negd, u = heapq.heappop(heap)
-        slots = -negd if u == 0 else -negd - 1
-        for _ in range(slots):
-            d = pool[ptr]
-            ptr += 1
-            if d >= 2:
-                c = next_internal
-                next_internal += 1
-                heapq.heappush(heap, (-d, c))
-            else:
-                c = next_leaf
-                next_leaf += 1
-            edges.append((u, c))
-    return RootedTree.from_tree(Tree(n, edges))
+    return RootedTree.from_tree(Tree(n, zip(owners, range(1, n))))
 
 
 class PathWitness(NamedTuple):
@@ -153,16 +128,11 @@ def _violation_starts(tree: Tree, deg: tuple[int, ...]) -> list[int]:
     every_row = sum(1 << r * D for r in range(D))
     cols = [((1 << D) - (1 << k)) * every_row for k in range(D + 1)]
 
-    root = rank.index(0)
-    parent = [-1] * n
-    kids: dict[int, list[int]] = {}
-    order = [root]
-    for v in order:
-        p = parent[v]
-        ks = kids[v] = [w for w in tree.neighbors(v) if w != p and rank[w] >= 0]
-        for w in ks:
-            parent[w] = v
-        order += ks
+    # Internal vertices induce a subtree, so a whole-tree walk from an
+    # internal root gives them the parents of a walk confined to it.
+    order, parent = tree.bfs(rank.index(0))
+    order = [v for v in order if rank[v] >= 0]
+    kids = {v: [w for w in tree.neighbors(v) if w != parent[v] and rank[w] >= 0] for v in order}
     flagged = [False] * n
 
     # Bottom-up: down[c] is the table of (parent[c] -> c).
@@ -224,19 +194,13 @@ def iter_path_violations(tree: Tree) -> Iterator[PathWitness]:
     deg = tree.degrees()
     n = tree.n
     for v1 in _violation_starts(tree, deg):
-        parent = [-1] * n
-        dist = [-1] * n
+        order, parent = tree.bfs(v1)
+        dist = [0] * n
         second = [-1] * n
-        dist[v1] = 0
-        queue = deque([v1])
-        while queue:
-            v = queue.popleft()
-            for w in tree.neighbors(v):
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    second[w] = w if v == v1 else second[v]
-                    queue.append(w)
+        for w in order[1:]:
+            p = parent[w]
+            dist[w] = dist[p] + 1
+            second[w] = w if p == v1 else second[p]
         for vt in range(n):
             if dist[vt] >= 3 and deg[v1] < deg[vt] and deg[second[vt]] > deg[parent[vt]]:
                 yield PathWitness(v1, second[vt], parent[vt], vt)
@@ -256,35 +220,21 @@ def check_subtree_property(tree: Tree, d: int) -> bool:
     """True iff the vertices of degree >= d induce a connected subgraph or none exist."""
     if d < 1:
         raise ValueError(f"degree threshold must be >= 1, got {d}")
-    members = {v for v in range(tree.n) if tree.degree(v) >= d}
-    if not members:
-        return True
-    start = next(iter(members))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in tree.neighbors(v):
-            if w in members and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(members)
+    # An induced subgraph of a tree is a forest, so it is connected
+    # iff it has one edge fewer than vertices.
+    deg = tree.degrees()
+    members = sum(x >= d for x in deg)
+    inner = sum(deg[u] >= d and deg[v] >= d for u, v in tree.edges)
+    return members == 0 or inner == members - 1
 
 
 def leaf_levels(tree: Tree) -> list[int]:
     """Level of each vertex: minimum distance to a pendant vertex."""
-    level = [-1] * tree.n
-    queue = deque()
-    for v in range(tree.n):
-        if tree.degree(v) <= 1:
-            level[v] = 0
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in tree.neighbors(v):
-            if level[w] == -1:
-                level[w] = level[v] + 1
-                queue.append(w)
+    pendant = [v for v in range(tree.n) if tree.degree(v) <= 1]
+    order, parent = tree.bfs(*pendant)
+    level = [0] * tree.n
+    for v in order[len(pendant):]:
+        level[v] = level[parent[v]] + 1
     return level
 
 

@@ -25,6 +25,9 @@ class Tree:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        # type() rather than isinstance(): bool is an int subclass.
+        if type(n) is not int:
+            raise InvalidTreeError(f"vertex count must be an int, got {n!r}")
         if n < 1:
             raise InvalidTreeError(f"need at least one vertex, got n={n}")
         edges = list(edges)
@@ -49,6 +52,8 @@ class Tree:
             return x
 
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise InvalidTreeError(f"vertex labels must be ints, got ({u!r}, {v!r})")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidTreeError(
                     f"vertex label out of range in edge ({u}, {v}) for n={n}"
@@ -65,13 +70,12 @@ class Tree:
             norm.append(e)
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
+        # Sorted edges append each vertex's neighbours in ascending order.
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
-        )
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     # -- structure ---------------------------------------------------
 
@@ -83,6 +87,27 @@ class Tree:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self._adj)
+
+    def bfs(self, *roots: int) -> tuple[list[int], list[int]]:
+        """Breadth-first order from the given distinct roots, and each vertex's parent.
+
+        Neighbours are visited in ascending label order; parent is -1 at
+        each root.  Several roots give one walk that starts from all of them.
+        """
+        n = self.n
+        parent = [-2] * n
+        for r in roots:
+            if not 0 <= r < n:
+                raise ValueError(f"root {r} out of range for n={n}")
+            parent[r] = -1
+        order = list(roots)
+        adj = self._adj
+        for v in order:
+            for w in adj[v]:
+                if parent[w] == -2:
+                    parent[w] = v
+                    order.append(w)
+        return order, parent
 
     def is_pendant(self, v: int) -> bool:
         return self.degree(v) == 1
@@ -138,20 +163,10 @@ class Tree:
         return tuple(sorted(layer))
 
     def _ahu(self, root: int) -> str:
-        order: list[int] = []
-        parent = [-1] * self.n
-        stack = [root]
-        parent[root] = root
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in self._adj[v]:
-                if parent[w] == -1:
-                    parent[w] = v
-                    stack.append(w)
+        order, parent = self.bfs(root)
         enc = [""] * self.n
         for v in reversed(order):
-            kids = sorted(enc[w] for w in self._adj[v] if parent[w] == v and w != v)
+            kids = sorted(enc[w] for w in self._adj[v] if w != parent[v])
             enc[v] = "(" + "".join(kids) + ")"
         return enc[root]
 
@@ -208,17 +223,16 @@ class Tree:
             raise InvalidTreeError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InvalidTreeError('JSON tree needs keys "n" and "edges"')
-        n = obj["n"]
         edges = obj["edges"]
-        # type() rather than isinstance(): JSON true and false are bools, an int subclass.
-        if type(n) is not int or not isinstance(edges, list):
+        if not isinstance(edges, list):
             raise InvalidTreeError('"n" must be an int and "edges" a list')
         pairs = []
         for e in edges:
-            if not isinstance(e, list) or len(e) != 2 or not all(type(x) is int for x in e):
+            if not isinstance(e, list) or len(e) != 2:
                 raise InvalidTreeError(f"malformed edge {e!r}")
             pairs.append((e[0], e[1]))
-        return cls(n, pairs)
+        # The constructor rejects a non-int n or label, JSON booleans included.
+        return cls(obj["n"], pairs)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})

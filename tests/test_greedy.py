@@ -1,7 +1,13 @@
-"""Unit tests for greedy-tree construction and the structural predicates."""
+"""Unit tests for greedy-tree construction and the structural predicates.
+
+Each fast construction or predicate is also checked against a slow
+reference kept here.
+"""
+
+import heapq
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sombor.degrees import DegreeSequence
@@ -15,7 +21,7 @@ from sombor.greedy import (
     find_path_violation,
     leaf_levels,
 )
-from sombor.oracle import sweep_sequences
+from sombor.oracle import prufer_decode, sweep_sequences
 from sombor.tree import Tree
 
 
@@ -31,6 +37,73 @@ def chain_3_2_3() -> Tree:
 small_sequences = st.lists(st.integers(2, 6), max_size=8).map(
     DegreeSequence.normalize
 )
+
+
+@st.composite
+def prufer_trees(draw, max_n=30):
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return Tree(1, [])
+    code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return prufer_decode(code, n)
+
+
+def reference_greedy_edges(seq: DegreeSequence) -> list[tuple[int, int]]:
+    """The greedy tree built by literally expanding the vertex of largest
+    degree (lowest label on ties) next, with a heap."""
+    if not seq:
+        return [(0, 1)]
+    k = len(seq)
+    pool = list(seq.entries[1:]) + [1] * seq.leaf_count()
+    ptr = 0
+    next_internal, next_leaf = 1, k
+    heap = [(-seq[0], 0)]
+    edges = []
+    while heap:
+        negd, u = heapq.heappop(heap)
+        for _ in range(-negd if u == 0 else -negd - 1):
+            d = pool[ptr]
+            ptr += 1
+            if d >= 2:
+                c = next_internal
+                next_internal += 1
+                heapq.heappush(heap, (-d, c))
+            else:
+                c = next_leaf
+                next_leaf += 1
+            edges.append((u, c))
+    return edges
+
+
+def reference_subtree_property(tree: Tree, d: int) -> bool:
+    """Search the vertices of degree >= d from one of them."""
+    members = {v for v in range(tree.n) if tree.degree(v) >= d}
+    if not members:
+        return True
+    start = min(members)
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in tree.neighbors(v):
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == members
+
+
+def reference_leaf_levels(tree: Tree) -> list[int]:
+    """Distance to the nearest pendant vertex, relaxed over the edges until stable."""
+    level = [0 if tree.degree(v) <= 1 else tree.n for v in range(tree.n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in tree.edges:
+            for a, b in ((u, v), (v, u)):
+                if level[b] + 1 < level[a]:
+                    level[a] = level[b] + 1
+                    changed = True
+    return level
 
 
 class TestBuildGreedyTree:
@@ -71,6 +144,16 @@ class TestBuildGreedyTree:
         b = build_greedy_tree((4, 4, 3, 2, 2))
         assert a.tree == b.tree
         assert a.bfs_order == b.bfs_order
+
+    def test_matches_heap_reference_up_to_16_vertices(self):
+        for seq in sweep_sequences(16):
+            expected = Tree(seq.total_vertices(), reference_greedy_edges(seq))
+            assert build_greedy_tree(seq).tree == expected, seq
+
+    @given(seq=st.lists(st.integers(2, 12), max_size=25).map(DegreeSequence.normalize))
+    def test_matches_heap_reference(self, seq):
+        expected = Tree(seq.total_vertices(), reference_greedy_edges(seq))
+        assert build_greedy_tree(seq).tree == expected
 
     @given(seq=small_sequences)
     def test_internal_degree_round_trip(self, seq):
@@ -161,10 +244,24 @@ class TestSubtreeProperty:
         with pytest.raises(ValueError):
             check_subtree_property(path(3), 0)
 
+    @settings(max_examples=200)
+    @given(tree=prufer_trees())
+    def test_matches_search_reference_at_every_threshold(self, tree):
+        for d in range(1, max(tree.degrees()) + 2):
+            assert check_subtree_property(tree, d) == reference_subtree_property(tree, d)
+
 
 class TestLevelMonotonicity:
     def test_leaf_levels_p6(self):
         assert leaf_levels(path(6)) == [0, 1, 2, 2, 1, 0]
+
+    def test_leaf_levels_single_vertex(self):
+        assert leaf_levels(Tree(1, [])) == [0]
+
+    @settings(max_examples=200)
+    @given(tree=prufer_trees())
+    def test_leaf_levels_match_relaxation_reference(self, tree):
+        assert leaf_levels(tree) == reference_leaf_levels(tree)
 
     def test_star(self):
         assert check_level_monotonicity(build_greedy_tree((4,)).tree)

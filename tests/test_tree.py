@@ -24,6 +24,8 @@ def star(m: int) -> Tree:
 @st.composite
 def random_trees(draw, min_n=2, max_n=12):
     n = draw(st.integers(min_n, max_n))
+    if n == 1:
+        return Tree(1, [])
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return prufer_decode(code, n)
 
@@ -70,6 +72,22 @@ class TestValidation:
     def test_edge_order_normalized(self):
         assert Tree(3, [(2, 1), (1, 0)]) == Tree(3, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (True, []),
+            (3, [(0, True), (True, 2)]),
+            (3.0, [(0, 1), (1, 2)]),
+            ("3", []),
+            (3, [(0, 1.0), (1, 2)]),
+            (None, []),
+        ],
+        ids=["bool-n", "bool-labels", "float-n", "str-n", "float-label", "none-n"],
+    )
+    def test_non_int_rejected(self, n, edges):
+        with pytest.raises(InvalidTreeError, match="must be (an int|ints)"):
+            Tree(n, edges)
+
 
 class TestStructure:
     def test_degrees_k2(self):
@@ -84,6 +102,11 @@ class TestStructure:
     def test_neighbors_sorted(self):
         t = Tree(4, [(0, 3), (0, 1), (0, 2)])
         assert t.neighbors(0) == (1, 2, 3)
+
+    @given(t=random_trees(min_n=1))
+    def test_every_neighbor_tuple_ascending(self, t):
+        for v in range(t.n):
+            assert list(t.neighbors(v)) == sorted(t.neighbors(v))
 
     def test_internal_degree_sequence(self):
         assert path(4).internal_degree_sequence().entries == (2, 2)
@@ -103,6 +126,47 @@ class TestStructure:
 
     def test_equality_and_hash(self):
         assert len({path(4), Tree(4, [(2, 3), (1, 2), (0, 1)])}) == 1
+
+
+class TestBfs:
+    def test_path_from_interior(self):
+        assert path(4).bfs(1) == ([1, 0, 2, 3], [1, -1, 1, 2])
+
+    def test_neighbors_ascending(self):
+        t = Tree(5, [(0, 4), (0, 2), (0, 3), (3, 1)])
+        assert t.bfs(0) == ([0, 2, 3, 4, 1], [-1, 3, 0, 0, 0])
+
+    def test_several_roots(self):
+        assert path(6).bfs(0, 5) == ([0, 5, 1, 4, 2, 3], [-1, 0, 1, 4, 5, -1])
+
+    def test_root_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            path(3).bfs(3)
+        with pytest.raises(ValueError, match="out of range"):
+            path(3).bfs(-1)
+
+    @given(data=st.data(), t=random_trees(min_n=1))
+    def test_walk_properties(self, data, t):
+        roots = data.draw(
+            st.lists(st.integers(0, t.n - 1), min_size=1, max_size=3, unique=True)
+        )
+        order, parent = t.bfs(*roots)
+        assert sorted(order) == list(range(t.n))
+        assert order[: len(roots)] == roots
+        assert [v for v in range(t.n) if parent[v] == -1] == sorted(roots)
+        pos = {v: i for i, v in enumerate(order)}
+        depth = [0] * t.n
+        for v in order[len(roots):]:
+            p = parent[v]
+            assert pos[p] < pos[v]
+            assert p in t.neighbors(v)
+            depth[v] = depth[p] + 1
+        assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
+        # Each vertex's children follow one another in ascending order.
+        for v in range(t.n):
+            at = [pos[w] for w in range(t.n) if parent[w] == v]
+            if at:
+                assert at == list(range(at[0], at[0] + len(at)))
 
 
 class TestIndices:
