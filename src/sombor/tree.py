@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, insort
 from typing import Callable, Iterable
 
 from .degrees import DegreeSequence
@@ -22,7 +23,7 @@ WeightFunction = Callable[[int, int], float]
 class Tree:
     """A labeled simple tree on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_deg")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         # type() rather than isinstance(): bool is an int subclass.
@@ -76,6 +77,36 @@ class Tree:
             adj[u].append(v)
             adj[v].append(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._deg: tuple[int, ...] = tuple(map(len, adj))
+
+    def _swapped(self, removed: Iterable[Edge], added: Iterable[Edge]) -> "Tree":
+        """This tree with the removed edges swapped for the added ones, unvalidated.
+
+        For degree-preserving moves whose result is known to be a tree,
+        such as an improving swap built from one of this tree's paths:
+        edges are normalized, each removed edge is present, and every
+        vertex loses as many edges as it gains, so the degrees are shared.
+        """
+        edges = list(self.edges)
+        adj = list(self._adj)
+        touched: dict[int, list[int]] = {}
+        for u, v in removed:
+            del edges[bisect_left(edges, (u, v))]
+            for a, b in ((u, v), (v, u)):
+                nbrs = touched.setdefault(a, list(adj[a]))
+                del nbrs[bisect_left(nbrs, b)]
+        for u, v in added:
+            insort(edges, (u, v))
+            for a, b in ((u, v), (v, u)):
+                insort(touched.setdefault(a, list(adj[a])), b)
+        for a, nbrs in touched.items():
+            adj[a] = tuple(nbrs)
+        out = object.__new__(type(self))
+        out.n = self.n
+        out.edges = tuple(edges)
+        out._adj = tuple(adj)
+        out._deg = self._deg
+        return out
 
     # -- structure ---------------------------------------------------
 
@@ -86,7 +117,7 @@ class Tree:
         return len(self._adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self._adj)
+        return self._deg
 
     def bfs(self, *roots: int) -> tuple[list[int], list[int]]:
         """Breadth-first order from the given distinct roots, and each vertex's parent.
@@ -225,7 +256,7 @@ class Tree:
             raise InvalidTreeError('JSON tree needs keys "n" and "edges"')
         edges = obj["edges"]
         if not isinstance(edges, list):
-            raise InvalidTreeError('"n" must be an int and "edges" a list')
+            raise InvalidTreeError('"edges" must be a list')
         pairs = []
         for e in edges:
             if not isinstance(e, list) or len(e) != 2:

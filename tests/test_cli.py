@@ -131,6 +131,13 @@ class TestIndex:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_json_edges_not_a_list(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 3, "edges": "x"}'))
+        assert main(["index", "--input", "-"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == 'error: "edges" must be a list\n'
+
     def test_cyclic_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "c3.txt"
         path.write_text("3\n0 1\n1 2\n2 0\n")

@@ -1,15 +1,23 @@
 """Unit tests for improving edge swaps and local search."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sombor.errors import StaleSwapError, StepLimitError
 from sombor.greedy import build_greedy_tree, check_path_condition
 from sombor.oracle import enumerate_trees, prufer_decode
-from sombor.swaps import apply_swap, find_improving_swap, local_search
+from sombor.swaps import (
+    _SCALE,
+    _scaled_index,
+    apply_swap,
+    find_improving_swap,
+    local_search,
+)
 from sombor.tree import Tree
 from sombor.weights import g_gap
 
@@ -30,6 +38,42 @@ def random_trees(draw, min_n=4, max_n=14):
     n = draw(st.integers(min_n, max_n))
     code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return prufer_decode(code, n)
+
+
+def descent_sized_trees(count: int = 4, n: int = 200) -> list[Tree]:
+    """Uniformly random labeled trees of the benchmark's descent size, fixed seed."""
+    rng = random.Random(20221)
+    return [prufer_decode([rng.randrange(n) for _ in range(n - 2)], n) for _ in range(count)]
+
+
+def reference_local_search(tree: Tree) -> tuple[list, list[float], Tree]:
+    """The slow descent: validate and rebuild each tree, recompute each index."""
+    swaps, values = [], []
+    while (swap := find_improving_swap(tree)) is not None:
+        tree = apply_swap(tree, swap)
+        swaps.append(swap)
+        values.append(tree.sombor())
+    return swaps, values, tree
+
+
+def degree_pair_counts(tree: Tree) -> Counter:
+    deg = tree.degrees()
+    return Counter(tuple(sorted((deg[u], deg[v]))) for u, v in tree.edges)
+
+
+def star(m: int) -> Tree:
+    return Tree(m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+def caterpillar(k: int) -> Tree:
+    """Spine 0..k-1 where spine vertex i has i+1 pendant vertices, so nearly every degree differs."""
+    edges = [(i, i + 1) for i in range(k - 1)]
+    nxt = k
+    for i in range(k):
+        for _ in range(i + 1):
+            edges.append((i, nxt))
+            nxt += 1
+    return Tree(nxt, edges)
 
 
 class TestFindImprovingSwap:
@@ -155,3 +199,81 @@ class TestLocalSearch:
         r = local_search(t)
         replayed = r.start_value + sum(s.predicted_delta for s in r.swaps)
         assert replayed == pytest.approx(r.final_value, abs=1e-10)
+
+
+class TestDescentMatchesReference:
+    """local_search edits the tree and keeps an integer index; the reference rebuilds."""
+
+    @staticmethod
+    def check(t: Tree) -> None:
+        r = local_search(t)
+        swaps, values, final = reference_local_search(t)
+        assert r.swaps == swaps
+        assert r.values == values
+        assert r.start_value == t.sombor()
+        assert r.final_value == (values[-1] if values else t.sombor())
+        assert r.tree == final
+        assert r.tree.degrees() == final.degrees()
+        assert all(r.tree.neighbors(v) == final.neighbors(v) for v in range(t.n))
+
+    @settings(max_examples=60)
+    @given(t=random_trees(min_n=2, max_n=60))
+    def test_random_trees(self, t):
+        self.check(t)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_descent_sized_trees(self, index):
+        self.check(descent_sized_trees()[index])
+
+    @settings(max_examples=60)
+    @given(t=random_trees(min_n=4, max_n=60))
+    def test_every_edit_equals_apply_swap(self, t):
+        while (swap := find_improving_swap(t)) is not None:
+            edited = t._swapped(swap.removed, swap.added)
+            rebuilt = apply_swap(t, swap)
+            assert edited == rebuilt
+            assert hash(edited) == hash(rebuilt)
+            assert edited.edges == rebuilt.edges
+            assert edited.degrees() == rebuilt.degrees()
+            for v in range(t.n):
+                assert edited.neighbors(v) == rebuilt.neighbors(v)
+            t = edited
+
+
+class TestExactIndex:
+    """The scaled integer total over 2**52 is Tree.sombor() bit for bit."""
+
+    @settings(max_examples=200)
+    @given(t=random_trees(min_n=2, max_n=60))
+    def test_random_trees(self, t):
+        assert _scaled_index(t) / _SCALE == t.sombor()
+
+    def test_small_stars(self):
+        for m in range(1, 1000):
+            t = star(m)
+            assert _scaled_index(t) / _SCALE == t.sombor()
+
+    @pytest.mark.parametrize("m", [4096, 12345, 65537, 10**5])
+    def test_large_stars(self, m):
+        t = star(m)
+        assert _scaled_index(t) / _SCALE == t.sombor()
+
+    def test_caterpillar_with_many_distinct_degrees(self):
+        t = caterpillar(150)
+        assert len(set(t.degrees())) == 150
+        assert _scaled_index(t) / _SCALE == t.sombor()
+
+
+class TestFixedPointDegreePairs:
+    """A descent's fixed point has the greedy tree's edge counts per degree pair."""
+
+    @settings(max_examples=150)
+    @given(t=random_trees(min_n=3, max_n=60))
+    def test_random_trees(self, t):
+        greedy = build_greedy_tree(t.internal_degree_sequence()).tree
+        assert degree_pair_counts(local_search(t).tree) == degree_pair_counts(greedy)
+
+    def test_descent_sized_trees(self):
+        for t in descent_sized_trees():
+            greedy = build_greedy_tree(t.internal_degree_sequence()).tree
+            assert degree_pair_counts(local_search(t).tree) == degree_pair_counts(greedy)

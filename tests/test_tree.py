@@ -258,6 +258,11 @@ class TestSerialization:
         with pytest.raises(InvalidTreeError):
             Tree.from_json(text)
 
+    def test_json_edges_not_a_list_blames_edges_only(self):
+        with pytest.raises(InvalidTreeError) as excinfo:
+            Tree.from_json('{"n": 3, "edges": "x"}')
+        assert str(excinfo.value) == '"edges" must be a list'
+
     @pytest.mark.parametrize(
         "text",
         ['{"n": true, "edges": []}', '{"n": 3, "edges": [[0, true], [true, 2]]}'],
