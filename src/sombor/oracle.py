@@ -9,10 +9,12 @@ the greedy construction.
 Every route passes one budget gate and reads one self-checking code
 walk.  `verify_minimality` scores every code in one value-only scan
 that pointer-decodes the code while summing edge weights, with no Tree
-allocation; only its optional isomorphism-class count decodes each
-code to a Tree.  `enumerate_trees` yields validated Tree objects for
-callers that want the trees themselves, and the tests keep it as the
-slow reference the scan is checked against.
+allocation.  Its optional isomorphism-class count decodes each code to
+an edge list and builds and canonicalizes a Tree only for the first
+code of each distinct internal tree.  `enumerate_trees` yields
+validated Tree objects for callers that want the trees themselves, and
+the tests keep it as the slow reference the scan and the class count
+are checked against.
 """
 
 from __future__ import annotations
@@ -45,10 +47,19 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
         raise ValueError(f"Prüfer decoding needs n >= 2, got n={n}")
     if len(code) != n - 2:
         raise ValueError(f"code length must be n-2={n - 2}, got {len(code)}")
-    degree = [1] * n
     for v in code:
         if not 0 <= v < n:
             raise ValueError(f"code label {v} out of range for n={n}")
+    return Tree(n, _decode_edges(code, n))
+
+
+def _decode_edges(code: list[int], n: int) -> list[tuple[int, int]]:
+    """Edges of the tree of an unchecked code, in decoding order.
+
+    Each edge is (removed leaf, its neighbor); the last is (leaf, n - 1).
+    """
+    degree = [1] * n
+    for v in code:
         degree[v] += 1
     edges = []
     ptr = 0
@@ -66,7 +77,7 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1))
-    return Tree(n, edges)
+    return edges
 
 
 def prufer_encode(tree: Tree) -> list[int]:
@@ -201,6 +212,28 @@ def _scan_min(seq: DegreeSequence, count: int) -> list[int]:
     return best_code
 
 
+def _count_classes(seq: DegreeSequence, count: int) -> int:
+    """Isomorphism classes of the enumeration, canonicalizing one tree per internal tree.
+
+    In every code the vertices 0..k-1 are the internal ones, each of
+    degree seq[i], so a tree is its internal subtree plus seq[i] - deg(i)
+    pendant leaves at each internal vertex i: codes whose trees share
+    their internal edges give isomorphic trees, leaf mapped to leaf.
+    """
+    k = len(seq)
+    n = seq.total_vertices()
+    first: dict[int, list[tuple[int, int]]] = {}
+    for code in _codes(seq, count):
+        edges = _decode_edges(code, n)
+        # The internal edges as a symmetric k x k adjacency bitmask.
+        key = 0
+        for u, v in edges:
+            if u < k and v < k:
+                key |= 1 << (u * k + v) | 1 << (v * k + u)
+        first.setdefault(key, edges)
+    return len({Tree(n, edges).canonical_form() for edges in first.values()})
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of certifying one degree sequence against the oracle."""
@@ -226,8 +259,9 @@ def verify_minimality(
     the first tree in lexicographic Prüfer-code order whose value is
     within _TIE_EPS of the minimum, and oracle_min is its Tree.sombor(),
     the same fsum as greedy_value rather than the scan's running sum.
-    Isomorphism classes are counted, by a second walk, when there are at
-    most class_limit trees; otherwise isomorphism_classes is None.
+    When there are at most class_limit trees, a second walk counts their
+    isomorphism classes, canonicalizing one tree per distinct internal
+    tree; otherwise isomorphism_classes is None.
     """
     seq, count = _admit(seq, budget)
     n = seq.total_vertices()
@@ -235,7 +269,7 @@ def verify_minimality(
     argmin = prufer_decode(_scan_min(seq, count), n)
     iso = None
     if count <= class_limit:
-        iso = len({prufer_decode(c, n).canonical_form() for c in _codes(seq, count)})
+        iso = _count_classes(seq, count)
     oracle_min = argmin.sombor()
     return VerificationReport(
         degree_sequence=seq,

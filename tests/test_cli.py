@@ -283,6 +283,25 @@ class TestVerify:
     def test_nonpositive_tolerance_is_usage_error(self):
         usage_error(["verify", "-d", "3,2", "--tol", "0"])
 
+    @pytest.mark.parametrize("tol", ["nan", "NaN", "inf", "1e400"])
+    def test_nonfinite_tolerance_is_usage_error(self, tol, capsys):
+        # A nan tolerance would fail every certificate and an infinite one pass any.
+        usage_error(["verify", "-d", "3,2", "--tol", tol])
+        assert f"--tol: must be a finite number > 0, got '{tol}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "-d", "3,2", "--tol", "x"], "--tol: must be a finite number > 0, got 'x'"),
+        (["verify", "-d", "3,2", "--budget", "x"], "--budget: must be an integer >= 1, got 'x'"),
+        (["verify", "-d", "3,2", "--budget", "1.5"],
+         "--budget: must be an integer >= 1, got '1.5'"),
+        (["sweep", "--max-n", "x"], "--max-n: must be an integer >= 1, got 'x'"),
+    ], ids=["tol", "budget", "budget-float", "max-n"])
+    def test_non_numeric_option_names_the_rule(self, argv, message, capsys):
+        usage_error(argv)
+        err = capsys.readouterr().err
+        assert message in err
+        assert "_positive" not in err
+
 
 class TestSweep:
     def test_text_all_pass(self, capsys):

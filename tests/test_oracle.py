@@ -175,9 +175,12 @@ class TestVerifyMinimality:
             verify_minimality((2,) * 9, budget=100)
 
     def test_scan_matches_tree_reference(self):
-        # Slow reference: build, score and canonicalize every Tree.
-        extra = [DegreeSequence((3, 3, 2, 2)), DegreeSequence((3, 2, 2, 2, 2, 2, 2))]
-        for seq in sweep_sequences(8) + extra:
+        # Slow reference: build, score and canonicalize every Tree.  The
+        # extras add stars up to K_{1,50} and sequences with many leaves
+        # per internal vertex, where many codes share one internal tree.
+        extra = [(3, 2, 2, 2, 2, 2, 2), (5, 5), (6, 6), (7, 3), (10, 4),
+                 (8, 2, 2), (4, 4, 4), (5, 3, 3, 2), *((m,) for m in range(9, 51))]
+        for seq in sweep_sequences(9) + [DegreeSequence(s) for s in extra]:
             trees = list(enumerate_trees(seq))
             values = [t.sombor() for t in trees]
             low = min(values)
@@ -193,6 +196,17 @@ class TestVerifyMinimality:
             over = verify_minimality(seq, class_limit=len(trees) - 1)
             assert over.isomorphism_classes is None
             assert over.argmin == first_min
+
+    def test_class_counts_sum_to_free_tree_counts(self):
+        # Each free tree on n vertices has exactly one internal degree
+        # sequence, so the class counts over all sequences with n vertices
+        # add up to the number of free trees on n vertices (OEIS A000055).
+        free_trees = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+        totals = dict.fromkeys(free_trees, 0)
+        for seq in sweep_sequences(10):
+            rep = verify_minimality(seq, class_limit=10**7)
+            totals[seq.total_vertices()] += rep.isomorphism_classes
+        assert totals == free_trees
 
     @pytest.mark.parametrize("seq, budget", [((1000,), 1), ((1000, 2), 1000)])
     def test_large_star_passes(self, seq, budget):
