@@ -124,6 +124,9 @@ def _cmd_optimize(args: argparse.Namespace):
 
 def _cmd_enumerate(args: argparse.Namespace):
     trees = oracle.enumerate_trees(args.degrees, budget=args.budget)
+    # Every sequence has a tree.  Building the first one before anything
+    # is printed makes a tree too large to build fail with no output.
+    trees = itertools.chain([next(trees)], trees)
     count = oracle.enumeration_count(args.degrees)
     if args.output_format == "json":
         return EXIT_OK, {"degree_sequence": list(args.degrees), "count": count,

@@ -9,17 +9,20 @@ the greedy construction.
 Every route passes one budget gate and reads one self-checking code
 walk.  `verify_minimality` scores every code in one value-only scan
 that pointer-decodes the code while summing edge weights, with no Tree
-allocation.  Its optional isomorphism-class count decodes each code to
-an edge list and builds and canonicalizes a Tree only for the first
-code of each distinct internal tree.  `enumerate_trees` yields
-validated Tree objects for callers that want the trees themselves, and
-the tests keep it as the slow reference the scan and the class count
-are checked against.
+allocation.  Its optional isomorphism-class count walks no code: it
+counts rooted and edge-rooted trees over sub-multisets of the internal
+degrees and combines them by Otter's dissimilarity theorem.
+`enumerate_trees` yields validated Tree objects for callers that want
+the trees themselves, and the tests keep it as the slow reference the
+scan and the class count are checked against.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -47,19 +50,10 @@ def prufer_decode(code: Iterable[int], n: int) -> Tree:
         raise ValueError(f"Prüfer decoding needs n >= 2, got n={n}")
     if len(code) != n - 2:
         raise ValueError(f"code length must be n-2={n - 2}, got {len(code)}")
+    degree = [1] * n
     for v in code:
         if not 0 <= v < n:
             raise ValueError(f"code label {v} out of range for n={n}")
-    return Tree(n, _decode_edges(code, n))
-
-
-def _decode_edges(code: list[int], n: int) -> list[tuple[int, int]]:
-    """Edges of the tree of an unchecked code, in decoding order.
-
-    Each edge is (removed leaf, its neighbor); the last is (leaf, n - 1).
-    """
-    degree = [1] * n
-    for v in code:
         degree[v] += 1
     edges = []
     ptr = 0
@@ -77,7 +71,7 @@ def _decode_edges(code: list[int], n: int) -> list[tuple[int, int]]:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1))
-    return edges
+    return Tree(n, edges)
 
 
 def prufer_encode(tree: Tree) -> list[int]:
@@ -124,8 +118,15 @@ def enumeration_count(seq: DegreeSequence | Iterable[int]) -> int:
 
 
 def _admit(seq: DegreeSequence | Iterable[int], budget: int) -> tuple[DegreeSequence, int]:
-    """The normalized sequence and its count; BudgetExceededError past budget."""
+    """The normalized sequence and its count; BudgetExceededError past budget.
+
+    A tree with more vertices than a list can index raises OverflowError
+    first, before its count is computed or any tree is built.
+    """
     seq = DegreeSequence.normalize(seq)
+    if seq.total_vertices() > sys.maxsize:
+        # The message Python gives for `[1] * n`, as greedy reports it.
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
     count = enumeration_count(seq)
     if count > budget:
         raise BudgetExceededError(count, budget)
@@ -212,26 +213,71 @@ def _scan_min(seq: DegreeSequence, count: int) -> list[int]:
     return best_code
 
 
-def _count_classes(seq: DegreeSequence, count: int) -> int:
-    """Isomorphism classes of the enumeration, canonicalizing one tree per internal tree.
+def _count_classes(seq: DegreeSequence) -> int:
+    """Isomorphism classes of the trees with the sequence, counted without a walk.
 
-    In every code the vertices 0..k-1 are the internal ones, each of
-    degree seq[i], so a tree is its internal subtree plus seq[i] - deg(i)
-    pendant leaves at each internal vertex i: codes whose trees share
-    their internal edges give isomorphic trees, leaf mapped to leaf.
+    By Otter's dissimilarity theorem every tree has vertex orbits - edge
+    orbits + [it has a symmetric edge] = 1, so summed over the classes,
+    classes = R - E + S.  R counts vertex-rooted trees, E edge-rooted
+    ones (unordered pairs of planted trees joined at their roots), and S
+    those whose root edge is symmetric (two copies of one planted tree).
+    A planted tree is rooted at a vertex whose degree counts an edge to
+    a parent; a single leaf is one.
+
+    Every count is keyed by a multiset T of internal degrees, held as
+    multiplicities over the distinct degrees of seq.  A planted tree
+    with internal multiset T has 1 + sum(d - 2 for d in T) leaves, so
+    leaves never enter the state: the cost depends neither on their
+    number nor on the largest degree.
+
+    planted(T) counts planted trees with internal multiset T.
+    forests(j, T) counts multisets of j planted trees whose internal
+    multisets add up to T: h of them are not leaves, and leaves fill the
+    other j - h slots in one way.  nonleaf(h, T) counts the h non-leaf
+    trees by the Pólya multiset recurrence
+    h * nonleaf(h, T) = sum of planted(S) * nonleaf(h - i, T - i*S) over
+    1 <= i <= h and non-empty S with i*S inside T.  A sum that h does
+    not divide exactly raises RuntimeError.
     """
-    k = len(seq)
-    n = seq.total_vertices()
-    first: dict[int, list[tuple[int, int]]] = {}
-    for code in _codes(seq, count):
-        edges = _decode_edges(code, n)
-        # The internal edges as a symmetric k x k adjacency bitmask.
-        key = 0
-        for u, v in edges:
-            if u < k and v < k:
-                key |= 1 << (u * k + v) | 1 << (v * k + u)
-        first.setdefault(key, edges)
-    return len({Tree(n, edges).canonical_form() for edges in first.values()})
+    degrees = sorted(set(seq))
+    full = tuple(seq.entries.count(d) for d in degrees)
+
+    def without(t: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return t[:i] + (t[i] - 1,) + t[i + 1 :]
+
+    @functools.cache
+    def planted(t: tuple[int, ...]) -> int:
+        if not any(t):
+            return 1
+        return sum(forests(d - 1, without(t, i)) for i, d in enumerate(degrees) if t[i])
+
+    def forests(j: int, t: tuple[int, ...]) -> int:
+        return sum(nonleaf(h, t) for h in range(min(j, sum(t)) + 1))
+
+    @functools.cache
+    def nonleaf(h: int, t: tuple[int, ...]) -> int:
+        if h == 0:
+            return int(not any(t))
+        if h > sum(t):
+            return 0
+        total = 0
+        for i in range(1, h + 1):
+            for sub in itertools.product(*(range(c // i + 1) for c in t)):
+                if any(sub):
+                    rest = tuple(c - i * x for c, x in zip(t, sub))
+                    total += planted(sub) * nonleaf(h - i, rest)
+        count, remainder = divmod(total, h)
+        if remainder:
+            raise RuntimeError(f"Pólya sum {total} is not divisible by {h}")
+        return count
+
+    # Rooted at a leaf, whose one planted subtree holds all of seq, or at
+    # a vertex of each internal degree d, whose d subtrees hold the rest.
+    rooted = planted(full) + sum(forests(d, without(full, i)) for i, d in enumerate(degrees))
+    symmetric = 0
+    if all(c % 2 == 0 for c in full):
+        symmetric = planted(tuple(c // 2 for c in full))
+    return rooted - forests(2, full) + symmetric
 
 
 @dataclass(frozen=True)
@@ -259,9 +305,9 @@ def verify_minimality(
     the first tree in lexicographic Prüfer-code order whose value is
     within _TIE_EPS of the minimum, and oracle_min is its Tree.sombor(),
     the same fsum as greedy_value rather than the scan's running sum.
-    When there are at most class_limit trees, a second walk counts their
-    isomorphism classes, canonicalizing one tree per distinct internal
-    tree; otherwise isomorphism_classes is None.
+    When there are at most class_limit trees, their isomorphism classes
+    are counted exactly, without a second walk; otherwise
+    isomorphism_classes is None.
     """
     seq, count = _admit(seq, budget)
     n = seq.total_vertices()
@@ -269,7 +315,7 @@ def verify_minimality(
     argmin = prufer_decode(_scan_min(seq, count), n)
     iso = None
     if count <= class_limit:
-        iso = _count_classes(seq, count)
+        iso = _count_classes(seq)
     oracle_min = argmin.sombor()
     return VerificationReport(
         degree_sequence=seq,

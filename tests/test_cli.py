@@ -461,13 +461,19 @@ class TestUsage:
 class TestTooLarge:
     @pytest.mark.parametrize(
         "argv",
-        [["greedy", "-d", "100000000"], ["verify", "-d", "99999999999999999999999999"]],
-        ids=["memory", "overflow"],
+        [
+            ["greedy", "-d", "100000000"],
+            ["verify", "-d", "99999999999999999999999999"],
+            ["enumerate", "-d", "100000000"],
+            ["enumerate", "-d", "99999999999999999999999999"],
+        ],
+        ids=["memory", "overflow", "enumerate-memory", "enumerate-overflow"],
     )
     def test_oversized_input_exits_5_with_one_line(self, argv):
         # The child caps its own address space at 256 MB before it runs the
-        # CLI, so the greedy build of 10^8 vertices runs out of memory; the
-        # verify sequence has one labeled tree but too many leaves to index.
+        # CLI, so a tree of 10^8 vertices runs out of memory; the other
+        # sequence has one labeled tree but too many leaves to index.
+        # enumerate must fail on either before it prints the count.
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"

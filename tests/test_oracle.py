@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from sombor.greedy import build_greedy_tree
 from sombor.oracle import (
     _TIE_EPS,
     _codes,
+    _count_classes,
     enumerate_trees,
     enumeration_count,
     prufer_decode,
@@ -130,6 +133,11 @@ class TestEnumeration:
         assert exc.value.count == 362880
         assert exc.value.budget == 1000
 
+    def test_unindexable_vertex_count_raises_eagerly(self):
+        # One labeled tree, but with more vertices than a list can index.
+        with pytest.raises(OverflowError):
+            enumerate_trees((10**26,))
+
     @pytest.mark.parametrize(
         "seq",
         [
@@ -231,6 +239,61 @@ class TestVerifyMinimality:
             rep = verify_minimality(seq)
             assert rep.argmin.sombor() == pytest.approx(rep.oracle_min, abs=1e-12)
             assert rep.argmin.internal_degree_sequence() == DegreeSequence(seq)
+
+
+def walk_classes(seq: DegreeSequence) -> int:
+    """Slow reference for _count_classes: canonicalize one tree per internal tree.
+
+    In every code the vertices 0..k-1 are the internal ones, each of
+    degree seq[i], so a tree is its internal subtree plus seq[i] - deg(i)
+    pendant leaves at each internal vertex i: trees that share their
+    internal edges are isomorphic, leaf mapped to leaf.
+    """
+    k = len(seq)
+    first = {}
+    for tree in enumerate_trees(seq):
+        first.setdefault(tuple(e for e in tree.edges if e[1] < k), tree)
+    return len({t.canonical_form() for t in first.values()})
+
+
+class TestClassCount:
+    def test_matches_walk(self):
+        # Every sequence with n <= 10, K2 (the empty sequence) among them,
+        # and the n = 11 sequences with at most 20,000 labeled trees.
+        seqs = [s for s in sweep_sequences(11)
+                if s.total_vertices() <= 10 or enumeration_count(s) <= 20000]
+        assert DegreeSequence(()) in seqs
+        for seq in seqs:
+            assert _count_classes(seq) == walk_classes(seq), seq
+
+    def test_matches_pinned_benchmark_counts(self):
+        path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+        pinned = runpy.run_path(str(path))["CLASSIFY_SEQUENCES"]
+        assert len(pinned) == 25
+        for seq, classes in pinned.items():
+            assert _count_classes(DegreeSequence(seq)) == classes, seq
+
+    def test_sums_to_free_tree_counts_through_18(self):
+        # Free-tree counts, OEIS A000055.  A labeled walk over n >= 13
+        # would scan more than 10^6 trees for some sequences, so the
+        # counter is called directly.
+        free_trees = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
+                      7741, 19320, 48629, 123867]
+        totals = [0] * len(free_trees)
+        for seq in sweep_sequences(18):
+            totals[seq.total_vertices() - 2] += _count_classes(seq)
+        assert totals == free_trees
+
+    @pytest.mark.parametrize("seq", [(2000,), (1000, 1000), (2000, 2), (6, 2)], ids=str)
+    def test_leaf_heavy_sequences_have_one_class(self, seq):
+        # The count's state holds internal degrees only, so two thousand
+        # leaves cost no more than six.  (1000, 1000) has far too many
+        # labeled trees to verify; the others go through the gate too.
+        assert _count_classes(DegreeSequence(seq)) == 1
+        count = enumeration_count(seq)
+        if count <= 2000:
+            rep = verify_minimality(seq, budget=count, class_limit=count)
+            assert rep.isomorphism_classes == 1
 
 
 class TestSweep:
